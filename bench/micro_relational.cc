@@ -149,11 +149,12 @@ void BM_CompiledPlanExecuteTraced(benchmark::State& state) {
 BENCHMARK(BM_CompiledPlanExecuteTraced)->Range(1 << 8, 1 << 13);
 
 // Columnar twin of BM_CompiledPlanExecute: the same compiled plan pushed
-// through the batch kernels inline (single morsel at the default size).
-// The contract this pair checks: the columnar single-thread path is no
-// slower than the row path — any gap here is pure batch-layer overhead,
-// since the parallel win only exists on top of parity.
-void BM_CompiledPlanExecuteColumnar(benchmark::State& state) {
+// through the batch kernels by ExecuteShared with an inline MorselExec
+// (single morsel at the default size). The gap to the row path is the
+// batch layer's overhead, which only intra-query parallelism pays back:
+// inline, the row kernels are faster, which is why ExecuteShared picks
+// them unless a MorselExec is passed.
+void BM_CompiledPlanExecuteInlineMorsel(benchmark::State& state) {
   const int64_t rows = state.range(0);
   Database db;
   db.Put("R", RandomRelation({0, 1}, rows, 100, 11));
@@ -161,15 +162,18 @@ void BM_CompiledPlanExecuteColumnar(benchmark::State& state) {
   ConjunctiveQuery query({{"R", {0, 1}}, {"S", {1, 2}}}, {0, 2});
   const Plan plan = EarlyProjectionPlan(query);
   auto compiled = PhysicalPlan::Compile(query, plan, db);
+  const MorselExec mx;  // inline, env-default morsel size
+  ExecArena arena;
   int64_t produced = 0;
   for (auto _ : state) {
-    ExecutionResult result = compiled->ExecuteColumnar();
+    ExecutionResult result = compiled->ExecuteShared(
+        &arena, kCounterMax, nullptr, nullptr, nullptr, &mx);
     produced += static_cast<int64_t>(result.stats.tuples_produced);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(produced);
 }
-BENCHMARK(BM_CompiledPlanExecuteColumnar)->Range(1 << 8, 1 << 13);
+BENCHMARK(BM_CompiledPlanExecuteInlineMorsel)->Range(1 << 8, 1 << 13);
 
 // Telemetry twins: the BM_CompiledPlanExecute workload submitted through
 // BatchExecutor one job at a time, with the query log off (the disabled
@@ -224,47 +228,50 @@ void BM_BatchExecuteTelemetryOn(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchExecuteTelemetryOn)->Range(1 << 8, 1 << 13);
 
-void BM_NaturalJoinColumnar(benchmark::State& state) {
+void BM_HashJoinColumnar(benchmark::State& state) {
   const int64_t rows = state.range(0);
   Relation left = RandomRelation({0, 1}, rows, 100, 1);
   Relation right = RandomRelation({1, 2}, rows, 100, 2);
+  const JoinSpec spec = PlanJoin(left.schema(), right.schema());
   const MorselExec mx;  // inline, env-default morsel size
   int64_t produced = 0;
   for (auto _ : state) {
     ExecContext ctx;
-    Relation out = NaturalJoinColumnar(left, right, ctx, mx);
+    Relation out = HashJoinColumnar(left, right, spec, ctx, mx);
     produced += out.size();
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(produced);
 }
-BENCHMARK(BM_NaturalJoinColumnar)->Range(1 << 8, 1 << 14);
+BENCHMARK(BM_HashJoinColumnar)->Range(1 << 8, 1 << 14);
 
 void BM_ProjectDistinctColumnar(benchmark::State& state) {
   const int64_t rows = state.range(0);
   Relation input = RandomRelation({0, 1, 2, 3}, rows, 3, 5);
+  const ProjectSpec spec = PlanProject(input.schema(), {0, 2});
   const MorselExec mx;
   for (auto _ : state) {
     ExecContext ctx;
-    Relation out = ProjectColumnar(input, {0, 2}, ctx, mx);
+    Relation out = ProjectColumnsColumnar(input, spec, ctx, mx);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_ProjectDistinctColumnar)->Range(1 << 8, 1 << 18);
 
-void BM_BindAtomColumnar(benchmark::State& state) {
+void BM_ScanAtomColumnar(benchmark::State& state) {
   const int64_t rows = state.range(0);
   Relation stored = RandomRelation({0, 1}, rows, 10, 8);
+  const ScanSpec spec = PlanScan(stored.arity(), {7, 7});  // repeated attr
   const MorselExec mx;
   for (auto _ : state) {
     ExecContext ctx;
-    Relation out = BindAtomColumnar(stored, {7, 7}, ctx, mx);
+    Relation out = ScanAtomColumnar(stored, spec, ctx, mx);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
-BENCHMARK(BM_BindAtomColumnar)->Range(1 << 8, 1 << 14);
+BENCHMARK(BM_ScanAtomColumnar)->Range(1 << 8, 1 << 14);
 
 void BM_BindAtom(benchmark::State& state) {
   const int64_t rows = state.range(0);

@@ -8,11 +8,9 @@
 #include <vector>
 
 #include "common/check.h"
+#include "exec/physical_plan.h"
 #include "exec/verify_hook.h"
 #include "obs/trace.h"
-#include "relational/batch_ops.h"
-#include "relational/exec_context.h"
-#include "relational/ops.h"
 
 namespace ppr {
 namespace {
@@ -37,79 +35,65 @@ double EstimateRows(const Estimate& est, size_t projected_arity,
   return std::min(full, cap);
 }
 
-// Recursive profiled evaluation; appends this node's profile (pre-order)
-// and returns its output relation plus estimation state. A non-null
-// `mx` routes every kernel through its columnar batch variant.
-Relation EvalProfiled(const ConjunctiveQuery& query, const PlanNode* node,
-                      const Database& db, double domain, int depth,
-                      ExecContext& ctx, const MorselExec* mx,
-                      std::vector<NodeProfile>* out, Estimate* est) {
-  const size_t my_index = out->size();
-  out->push_back(NodeProfile{});
+// What the compiled run measured, read back from its accounting by
+// node_id — the pre-order numbering ExplainResult::nodes shares.
+struct RunActuals {
+  /// Per node: output rows of its last kernel; -1 when none ran for it
+  /// (an unprojected single-child join node passes its child through).
+  std::vector<int64_t> last_rows;
+  /// The nodes that started are the pre-order prefix through this id.
+  int32_t last_started = -1;
+  /// Node whose kernel exhausted the budget; -1 when the run finished.
+  int32_t exhausted_at = -1;
+};
 
-  Relation result;
-  // Attribute this node's operator spans to its pre-order index (the
-  // recursion below retargets it for the children, so it is restored
-  // before every kernel call on this node's behalf).
-  ctx.set_trace_node(static_cast<int32_t>(my_index));
+// Kernel-free pre-order pass over the logical plan: appends the profile
+// of each node that started and returns its estimation state. A node
+// still running when the budget ran out reports actual=-1 and an
+// estimate over its first child plus the children that finished.
+Estimate Describe(const ConjunctiveQuery& query, const PlanNode* node,
+                  const Database& db, double domain, int depth,
+                  const RunActuals& run, std::vector<NodeProfile>* out) {
+  const size_t id = out->size();
+  out->push_back(
+      {.label = "join",
+       .depth = depth,
+       .working_arity = static_cast<int>(node->working.size()),
+       .projected_arity = static_cast<int>(node->projected.size())});
+  Estimate est;
   if (node->IsLeaf()) {
     const Atom& atom = query.atoms()[static_cast<size_t>(node->atom_index)];
-    const Relation* stored = *db.Get(atom.relation);
-    est->attrs = node->working;
-    est->selectivity =
-        static_cast<double>(stored->size()) /
+    est.attrs = node->working;
+    est.selectivity =
+        static_cast<double>((*db.Get(atom.relation))->size()) /
         std::pow(domain, static_cast<double>(atom.args.size()));
-    result = mx != nullptr ? BindAtomColumnar(*stored, atom.args, ctx, *mx)
-                           : BindAtom(*stored, atom.args, ctx);
-    if (node->Projects() && !ctx.exhausted()) {
-      result = mx != nullptr
-                   ? ProjectColumnar(result, node->projected, ctx, *mx)
-                   : Project(result, node->projected, ctx);
-    }
-    (*out)[my_index].label = atom.ToString();
-  } else {
-    Estimate acc_est;
-    Relation acc;
-    bool first = true;
-    for (const auto& child : node->children) {
-      if (ctx.exhausted()) break;
-      Estimate child_est;
-      Relation child_rel = EvalProfiled(query, child.get(), db, domain,
-                                        depth + 1, ctx, mx, out, &child_est);
-      if (first) {
-        acc = std::move(child_rel);
-        acc_est = std::move(child_est);
-        first = false;
-      } else {
-        if (ctx.exhausted()) break;
-        ctx.set_trace_node(static_cast<int32_t>(my_index));
-        acc = mx != nullptr ? NaturalJoinColumnar(acc, child_rel, ctx, *mx)
-                            : NaturalJoin(acc, child_rel, ctx);
-        std::vector<AttrId> merged;
-        std::set_union(acc_est.attrs.begin(), acc_est.attrs.end(),
-                       child_est.attrs.begin(), child_est.attrs.end(),
-                       std::back_inserter(merged));
-        acc_est.attrs = std::move(merged);
-        acc_est.selectivity *= child_est.selectivity;
-      }
-    }
-    if (node->Projects() && !ctx.exhausted()) {
-      ctx.set_trace_node(static_cast<int32_t>(my_index));
-      acc = mx != nullptr ? ProjectColumnar(acc, node->projected, ctx, *mx)
-                          : Project(acc, node->projected, ctx);
-    }
-    result = std::move(acc);
-    *est = std::move(acc_est);
-    (*out)[my_index].label = "join";
+    (*out)[id].label = atom.ToString();
   }
-
-  NodeProfile& profile = (*out)[my_index];
-  profile.depth = depth;
-  profile.working_arity = static_cast<int>(node->working.size());
-  profile.projected_arity = static_cast<int>(node->projected.size());
-  profile.estimated_rows = EstimateRows(*est, node->projected.size(), domain);
-  profile.actual_rows = ctx.exhausted() ? -1 : result.size();
-  return result;
+  for (size_t i = 0; i < node->children.size() &&
+                     static_cast<int32_t>(out->size()) <= run.last_started;
+       ++i) {
+    const size_t child_id = out->size();
+    Estimate child = Describe(query, node->children[i].get(), db, domain,
+                              depth + 1, run, out);
+    if (i == 0) {
+      est = std::move(child);
+    } else if ((*out)[child_id].actual_rows >= 0) {
+      std::vector<AttrId> merged;
+      std::set_union(est.attrs.begin(), est.attrs.end(), child.attrs.begin(),
+                     child.attrs.end(), std::back_inserter(merged));
+      est.attrs = std::move(merged);
+      est.selectivity *= child.selectivity;
+    }
+  }
+  NodeProfile& profile = (*out)[id];
+  profile.estimated_rows = EstimateRows(est, node->projected.size(), domain);
+  // This node's subtree holds the ids [id, out->size()).
+  const bool running = run.exhausted_at >= static_cast<int32_t>(id) &&
+                       run.exhausted_at < static_cast<int32_t>(out->size());
+  profile.actual_rows = running                 ? -1
+                        : run.last_rows[id] >= 0 ? run.last_rows[id]
+                                                 : (*out)[id + 1].actual_rows;
+  return est;
 }
 
 }  // namespace
@@ -129,7 +113,6 @@ std::string ExplainResult::ToString() const {
         out << "  predicted arity<=" << p.predicted_arity_bound
             << " rows<=" << p.predicted_rows_bound;
       }
-      if (p.morsel_fanout > 0) out << " morsels=" << p.morsel_fanout;
       if (p.arity_violation) out << "  !! arity bound violated";
     }
     out << "\n";
@@ -166,7 +149,7 @@ double ExplainResult::WorstEstimateRatio() const {
 
 ExplainResult ExplainPlan(const ConjunctiveQuery& query, const Plan& plan,
                           const Database& db, double domain_size,
-                          Counter tuple_budget, bool analyze, bool columnar) {
+                          Counter tuple_budget, bool analyze) {
   ExplainResult result;
   PPR_CHECK(domain_size >= 1.0);
   if (plan.empty()) {
@@ -204,7 +187,15 @@ ExplainResult ExplainPlan(const ConjunctiveQuery& query, const Plan& plan,
     }
   }
 
-  ExecContext ctx(tuple_budget);
+  // Profile the compiled plan — the one pprd serves — on the row kernels.
+  // With verification on, Compile repeats the tiers above and also proves
+  // the compiled plan faithful, the only check that can still fail here.
+  Result<PhysicalPlan> compiled = PhysicalPlan::Compile(query, plan, db);
+  if (!compiled.ok()) {
+    result.status = compiled.status();
+    result.verifier_verdict = result.status.ToString();
+    return result;
+  }
   // ANALYZE profiles through a private sink (never the PPR_TRACE one:
   // the annotations must not depend on process-wide state). Sized so one
   // run can never wrap: each node executes at most its child-count many
@@ -212,15 +203,21 @@ ExplainResult ExplainPlan(const ConjunctiveQuery& query, const Plan& plan,
   // spans per node over-provisions.
   TraceSink sink(static_cast<size_t>(
       std::max(4 * plan.NumNodes(), 1024)));
-  if (analyze) ctx.set_tracer(&sink);
-  const MorselExec mx;  // inline, sequential, env-default morsel size
-  Estimate est;
-  EvalProfiled(query, plan.root(), db, domain_size, 0, ctx,
-               columnar ? &mx : nullptr, &result.nodes, &est);
-  result.stats = ctx.stats();
-  if (ctx.exhausted()) {
-    result.status = Status::ResourceExhausted("tuple budget exceeded");
+  MorselAccounting accounting;
+  const ExecutionResult run = compiled->ExecuteShared(
+      nullptr, tuple_budget, analyze ? &sink : nullptr, nullptr, &accounting);
+  result.stats = run.stats;
+  if (!run.status.ok()) result.status = run.status;
+  RunActuals actuals{std::vector<int64_t>(plan.NumNodes(), -1)};
+  for (const MorselOpAccount& op : accounting.ops) {
+    actuals.last_rows[static_cast<size_t>(op.node_id)] = op.output_rows;
+    actuals.last_started = std::max(actuals.last_started, op.node_id);
   }
+  if (!run.status.ok() && !accounting.ops.empty()) {
+    // No kernel runs after the one that exhausted the budget.
+    actuals.exhausted_at = accounting.ops.back().node_id;
+  }
+  Describe(query, plan.root(), db, domain_size, 0, actuals, &result.nodes);
   if (!analyze) return result;
 
   result.analyzed = true;
@@ -233,7 +230,6 @@ ExplainResult ExplainPlan(const ConjunctiveQuery& query, const Plan& plan,
     p.actual_ns += span.duration_ns;
     p.actual_bytes = std::max(p.actual_bytes, span.bytes);
     p.actual_max_arity = std::max(p.actual_max_arity, span.arity_out);
-    if (span.morsel_id >= 0) p.morsel_fanout++;
   }
 
   // The predicted side: the width analyzer's per-node bounds, via the

@@ -56,104 +56,83 @@ std::unique_ptr<PhysicalNode> CompileNode(const ConjunctiveQuery& query,
   return phys;
 }
 
-// Bottom-up evaluation with the exact control flow of the seed
-// interpreter (executor.cc's EvalNode), so budget-exhaustion skip
-// behavior — and therefore every statistic — is preserved bit for bit.
-Relation Exec(const PhysicalNode& node, JoinAlgorithm join_algorithm,
-              ExecContext& ctx) {
-  if (node.IsLeaf()) {
-    ctx.set_trace_node(node.node_id);
-    Relation bound = ScanAtom(*node.stored, node.scan, ctx);
-    if (node.has_project && !ctx.exhausted()) {
-      return ProjectColumns(bound, node.project, ctx);
-    }
-    return bound;
-  }
+// The one plan walk, over either kernel set: with a null `mx` every
+// operator runs its row kernel (relational/ops.h); with a MorselExec —
+// only MorselDriver passes one — its columnar twin (relational/batch_ops.h).
+// kSortMerge joins have no columnar variant and run the row kernel on both
+// routes. The control flow is the seed interpreter's (executor.cc's
+// EvalNode), budget-exhaustion skips included, so the output and every
+// statistic except peak_bytes are identical on both routes.
+class PlanWalk {
+ public:
+  PlanWalk(JoinAlgorithm join_algorithm, ExecContext& ctx,
+           const MorselExec* mx, MorselAccounting* acct)
+      : join_algorithm_(join_algorithm), ctx_(ctx), mx_(mx), acct_(acct) {}
 
-  Relation acc = Exec(*node.children.front(), join_algorithm, ctx);
-  for (size_t i = 1; i < node.children.size() && !ctx.exhausted(); ++i) {
-    Relation next = Exec(*node.children[i], join_algorithm, ctx);
-    if (ctx.exhausted()) break;
-    // Children retargeted the span attribution; point it back at this
-    // node for the fold step's join (and the projection below).
-    ctx.set_trace_node(node.node_id);
-    acc = join_algorithm == JoinAlgorithm::kSortMerge
-              ? SortMergeJoin(acc, next, ctx)
-              : HashJoin(acc, next, node.joins[i - 1], ctx);
-  }
-  if (node.has_project && !ctx.exhausted()) {
-    ctx.set_trace_node(node.node_id);
-    return ProjectColumns(acc, node.project, ctx);
-  }
-  return acc;
-}
-
-// Appends one kernel's accounting entry. Kernels that bypassed the
-// morsel partition pass a null `morsel_rows` and get one pseudo morsel
-// holding the whole output (none when empty), preserving the invariant
-// sum(morsel_rows) == output_rows.
-void Account(MorselAccounting* acct, int32_t node_id, MorselOp op,
-             const Relation& out, std::vector<int64_t>* morsel_rows) {
-  if (acct == nullptr) return;
-  MorselOpAccount entry;
-  entry.node_id = node_id;
-  entry.op = op;
-  entry.arity = out.arity();
-  entry.output_rows = out.size();
-  if (morsel_rows != nullptr) {
-    entry.morsel_rows = std::move(*morsel_rows);
-  } else if (!out.empty()) {
-    entry.morsel_rows.push_back(out.size());
-  }
-  acct->ops.push_back(std::move(entry));
-}
-
-// Columnar twin of Exec(): identical control flow (budget-exhaustion
-// skips included) with the batch kernels substituted, so the output and
-// every statistic except peak_bytes match the row walk bit for bit.
-// kSortMerge joins have no columnar variant and run the row kernel.
-Relation ExecColumnar(const PhysicalNode& node, JoinAlgorithm join_algorithm,
-                      ExecContext& ctx, const MorselExec& mx,
-                      MorselAccounting* acct) {
-  std::vector<int64_t> morsels;
-  std::vector<int64_t>* mr = acct != nullptr ? &morsels : nullptr;
-  if (node.IsLeaf()) {
-    ctx.set_trace_node(node.node_id);
-    Relation bound = ScanAtomColumnar(*node.stored, node.scan, ctx, mx, mr);
-    Account(acct, node.node_id, MorselOp::kScan, bound, mr);
-    if (node.has_project && !ctx.exhausted()) {
-      Relation projected =
-          ProjectColumnsColumnar(bound, node.project, ctx, mx, mr);
-      Account(acct, node.node_id, MorselOp::kProject, projected, mr);
-      return projected;
-    }
-    return bound;
-  }
-
-  Relation acc = ExecColumnar(*node.children.front(), join_algorithm, ctx,
-                              mx, acct);
-  for (size_t i = 1; i < node.children.size() && !ctx.exhausted(); ++i) {
-    Relation next =
-        ExecColumnar(*node.children[i], join_algorithm, ctx, mx, acct);
-    if (ctx.exhausted()) break;
-    ctx.set_trace_node(node.node_id);
-    if (join_algorithm == JoinAlgorithm::kSortMerge) {
-      acc = SortMergeJoin(acc, next, ctx);
-      Account(acct, node.node_id, MorselOp::kJoin, acc, nullptr);
+  Relation Run(const PhysicalNode& node) {
+    Relation acc;
+    if (node.IsLeaf()) {
+      ctx_.set_trace_node(node.node_id);
+      acc = mx_ != nullptr ? ScanAtomColumnar(*node.stored, node.scan, ctx_,
+                                              *mx_, MorselRows())
+                           : ScanAtom(*node.stored, node.scan, ctx_);
+      Account(node.node_id, MorselOp::kScan, acc);
     } else {
-      acc = HashJoinColumnar(acc, next, node.joins[i - 1], ctx, mx, mr);
-      Account(acct, node.node_id, MorselOp::kJoin, acc, mr);
+      acc = Run(*node.children.front());
+      for (size_t i = 1; i < node.children.size() && !ctx_.exhausted(); ++i) {
+        Relation next = Run(*node.children[i]);
+        if (ctx_.exhausted()) break;
+        // Children retargeted the span attribution; point it back at this
+        // node for the fold step's join (and the projection below).
+        ctx_.set_trace_node(node.node_id);
+        const JoinSpec& spec = node.joins[i - 1];
+        if (join_algorithm_ == JoinAlgorithm::kSortMerge) {
+          acc = SortMergeJoin(acc, next, ctx_);
+        } else if (mx_ != nullptr) {
+          acc = HashJoinColumnar(acc, next, spec, ctx_, *mx_, MorselRows());
+        } else {
+          acc = HashJoin(acc, next, spec, ctx_);
+        }
+        Account(node.node_id, MorselOp::kJoin, acc);
+      }
     }
+    if (node.has_project && !ctx_.exhausted()) {
+      ctx_.set_trace_node(node.node_id);
+      acc = mx_ != nullptr ? ProjectColumnsColumnar(acc, node.project, ctx_,
+                                                    *mx_, MorselRows())
+                           : ProjectColumns(acc, node.project, ctx_);
+      Account(node.node_id, MorselOp::kProject, acc);
+    }
+    return acc;
   }
-  if (node.has_project && !ctx.exhausted()) {
-    ctx.set_trace_node(node.node_id);
-    Relation projected = ProjectColumnsColumnar(acc, node.project, ctx, mx,
-                                                mr);
-    Account(acct, node.node_id, MorselOp::kProject, projected, mr);
-    return projected;
+
+ private:
+  // Where a columnar kernel writes its per-morsel row counts; null when
+  // nobody asked for accounting, which spares the kernels the bookkeeping.
+  std::vector<int64_t>* MorselRows() {
+    return acct_ != nullptr ? &morsel_rows_ : nullptr;
   }
-  return acc;
-}
+
+  // Appends one kernel's accounting entry. Row kernels leave no morsel
+  // rows; they report one pseudo morsel holding the whole output (none
+  // when empty), as columnar kernels that bypass the partition do, which
+  // preserves the invariant sum(morsel_rows) == output_rows.
+  void Account(int32_t node_id, MorselOp op, const Relation& out) {
+    if (acct_ == nullptr) return;
+    if (morsel_rows_.empty() && !out.empty()) {
+      morsel_rows_.push_back(out.size());
+    }
+    acct_->ops.push_back(MorselOpAccount{node_id, op, out.arity(), out.size(),
+                                         std::move(morsel_rows_)});
+    morsel_rows_.clear();
+  }
+
+  const JoinAlgorithm join_algorithm_;
+  ExecContext& ctx_;
+  const MorselExec* const mx_;
+  MorselAccounting* const acct_;
+  std::vector<int64_t> morsel_rows_;
+};
 
 int CountNodes(const PhysicalNode& node) {
   int n = 1;
@@ -221,64 +200,17 @@ ExecutionResult PhysicalPlan::Execute(Counter tuple_budget,
 ExecutionResult PhysicalPlan::ExecuteShared(ExecArena* arena,
                                             Counter tuple_budget,
                                             TraceSink* trace,
-                                            MetricsRegistry* metrics) const {
-  ExecutionResult result;
-  if (arena != nullptr) arena->Reset();
-  ExecContext ctx(tuple_budget, arena);
-  const uint64_t span_mark = trace != nullptr ? trace->total_recorded() : 0;
-  ctx.set_tracer(trace);
-  WallTimer timer;
-  Relation output = Exec(*root_, join_algorithm_, ctx);
-  result.seconds = timer.ElapsedSeconds();
-  result.stats = ctx.stats();
-  if (metrics != nullptr) {
-    ctx.stats().PublishTo(metrics);
-    if (trace != nullptr) {
-      PublishSpanMetrics(trace->SnapshotSince(span_mark), metrics);
-    }
-  }
-  if (ctx.exhausted()) {
-    result.status = Status::ResourceExhausted("tuple budget exceeded");
-  } else {
-    result.status = Status::Ok();
-    result.output = std::move(output);
-  }
-  return result;
-}
-
-ExecutionResult PhysicalPlan::ExecuteColumnar(Counter tuple_budget,
-                                              TraceSink* trace) {
-  TraceSink* sink = trace != nullptr ? trace : GlobalTraceSinkIfEnabled();
-  MetricsRegistry* metrics = nullptr;
-  if (sink != nullptr) {
-    MutexLock lock(GlobalObsMutex());
-    metrics = &GlobalMetrics();
-  }
-  const MorselExec mx;  // inline, sequential, env-default morsel size
-  ExecutionResult result =
-      ExecuteMorsel(mx, &arena_, tuple_budget, sink, metrics);
-  if (sink != nullptr && sink == GlobalTraceSinkIfEnabled()) {
-    MutexLock lock(GlobalObsMutex());
-    (void)FlushTraceArtifacts();
-  }
-  return result;
-}
-
-ExecutionResult PhysicalPlan::ExecuteMorsel(const MorselExec& mx,
-                                            ExecArena* arena,
-                                            Counter tuple_budget,
-                                            TraceSink* trace,
                                             MetricsRegistry* metrics,
-                                            MorselAccounting* accounting)
-    const {
+                                            MorselAccounting* accounting,
+                                            const MorselExec* mx) const {
   ExecutionResult result;
   if (arena != nullptr) arena->Reset();
   ExecContext ctx(tuple_budget, arena);
   const uint64_t span_mark = trace != nullptr ? trace->total_recorded() : 0;
   ctx.set_tracer(trace);
   WallTimer timer;
-  Relation output = ExecColumnar(*root_, join_algorithm_, ctx, mx,
-                                 accounting);
+  Relation output =
+      PlanWalk(join_algorithm_, ctx, mx, accounting).Run(*root_);
   result.seconds = timer.ElapsedSeconds();
   result.stats = ctx.stats();
   if (metrics != nullptr) {

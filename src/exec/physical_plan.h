@@ -54,12 +54,12 @@ struct PhysicalNode {
   bool IsLeaf() const { return children.empty(); }
 };
 
-/// Operator kinds appearing in a columnar run's morsel accounting.
+/// Operator kinds appearing in a run's morsel accounting.
 /// Mirrors the four kernels without pulling the obs tracing types into
 /// the execution API.
 enum class MorselOp : uint8_t { kScan = 0, kJoin = 1, kProject = 2 };
 
-/// Row accounting of one columnar kernel invocation: the per-morsel
+/// Row accounting of one kernel invocation: the per-morsel
 /// emitted row counts (morsel-index order) and the output they add up
 /// to. The invariant every entry must satisfy — sum(morsel_rows) ==
 /// output_rows — is what the `morsel_accounting` verifier hook
@@ -73,14 +73,14 @@ struct MorselOpAccount {
   int arity = 0;
   /// Output rows materialized (post budget truncation).
   int64_t output_rows = 0;
-  /// Rows each morsel contributed, in morsel-index order. Degenerate
-  /// operators that bypass the morsel partition (nullary schemas,
-  /// sort-merge joins, Boolean projections) report one pseudo morsel
-  /// holding the whole output, or none when the output is empty.
+  /// Rows each morsel contributed, in morsel-index order. Row kernels and
+  /// degenerate operators that bypass the morsel partition (nullary
+  /// schemas, sort-merge joins, Boolean projections) report one pseudo
+  /// morsel holding the whole output, or none when the output is empty.
   std::vector<int64_t> morsel_rows;
 };
 
-/// Per-operator accounting of one columnar run, in execution order.
+/// Per-operator accounting of one run, in execution order.
 struct MorselAccounting {
   std::vector<MorselOpAccount> ops;
 };
@@ -138,34 +138,21 @@ class PhysicalPlan {
   /// when non-null (never to the process-wide sink), per-run stats (and,
   /// when traced, span histograms) publish into `metrics` when non-null
   /// (never to GlobalMetrics()), and no trace artifacts are flushed.
+  /// `accounting`, when non-null, receives one MorselOpAccount per kernel
+  /// invocation in execution order (read by EXPLAIN and the
+  /// morsel-accounting verifier hook).
+  ///
+  /// Without `mx` operators run the row kernels (relational/ops.h), the
+  /// faster choice inline; with one — MorselDriver passes its
+  /// ThreadPool-backed MorselExec — the columnar kernels of
+  /// relational/batch_ops.h. Both routes give the same answer and every
+  /// statistic except peak_bytes.
   ExecutionResult ExecuteShared(ExecArena* arena,
                                 Counter tuple_budget = kCounterMax,
                                 TraceSink* trace = nullptr,
-                                MetricsRegistry* metrics = nullptr) const;
-
-  /// Columnar execution through the batch kernels of
-  /// relational/batch_ops.h, inline on the calling thread (a default
-  /// MorselExec). Oracle-equal to Execute(): same answer relation, same
-  /// ExecStats except peak_bytes, same budget behavior. Observability
-  /// resolution matches Execute() (explicit sink, else PPR_TRACE).
-  ExecutionResult ExecuteColumnar(Counter tuple_budget = kCounterMax,
-                                  TraceSink* trace = nullptr);
-
-  /// Morsel-driven columnar execution — the ExecuteShared of the batch
-  /// world, with the same caller-owned arena/trace/metrics design, plus
-  /// the MorselExec that decides how morsels run (the morsel driver of
-  /// src/runtime installs a ThreadPool-backed parallel_for and
-  /// per-worker arenas; the default runs inline). For a fixed morsel
-  /// size the answer relation and every merged statistic are
-  /// byte-identical across worker counts. When `accounting` is non-null
-  /// it receives one MorselOpAccount per kernel invocation, in
-  /// execution order, for the morsel-accounting verifier hook and the
-  /// EXPLAIN ANALYZE fan-out report.
-  ExecutionResult ExecuteMorsel(const MorselExec& mx, ExecArena* arena,
-                                Counter tuple_budget = kCounterMax,
-                                TraceSink* trace = nullptr,
                                 MetricsRegistry* metrics = nullptr,
-                                MorselAccounting* accounting = nullptr) const;
+                                MorselAccounting* accounting = nullptr,
+                                const MorselExec* mx = nullptr) const;
 
   /// Schema of the answer relation (the root's projected label).
   const Schema& output_schema() const { return root_->output_schema; }

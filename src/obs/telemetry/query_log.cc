@@ -10,6 +10,7 @@
 #include "common/mutex.h"
 #include "obs/exporters.h"
 #include "obs/metrics.h"
+#include "obs/telemetry/flight_recorder.h"
 
 namespace ppr {
 namespace {
@@ -119,6 +120,22 @@ void ClassifyStatus(const Status& status, QueryRecord* record) {
     record->outcome = QueryOutcome::kFailed;
     record->error = status.message();
   }
+}
+
+bool AppendQueryRecord(QueryRecord record, const Status& status,
+                       const TraceSink* spans, bool observe_flight) {
+  QueryLog* log = GlobalQueryLogIfEnabled();
+  if (log == nullptr) return false;
+  ClassifyStatus(status, &record);
+  record.bound_headroom = record.predicted_width >= 0
+                              ? record.predicted_width - record.max_arity
+                              : 0;
+  record.seq = log->Append(record);
+  if (FlightRecorder* flights = GlobalFlightRecorderIfEnabled();
+      observe_flight && flights != nullptr) {
+    (void)flights->Observe(record, *log, spans);
+  }
+  return true;
 }
 
 struct QueryLog::Shard {

@@ -13,6 +13,8 @@
 
 namespace ppr {
 
+class TraceSink;
+
 /// Which drain point produced a query record.
 enum class QuerySource : uint8_t {
   kBatch = 0,    // BatchExecutor::Run (inter-query parallelism)
@@ -79,7 +81,7 @@ struct QueryRecord {
   /// used to throw away. 0 when predicted_width is unknown.
   int32_t bound_headroom = 0;
   /// Status message for kFailed outcomes ("" otherwise).
-  std::string error;
+  std::string error = {};
 };
 
 /// One line of JSON, no trailing newline. Field names match the struct
@@ -90,6 +92,16 @@ std::string QueryRecordToJson(const QueryRecord& record);
 
 /// Derives outcome/status_code/error from a job's final status.
 void ClassifyStatus(const Status& status, QueryRecord* record);
+
+/// The one query-log drain (BatchExecutor, MorselDriver, QueryService).
+/// `record` carries what the drain point measured; this derives the
+/// outcome fields from `status` and bound_headroom from predicted_width,
+/// appends it to the global log and, if `observe_flight`, shows it to the
+/// enabled flight recorder with `spans` as its trace ring. Returns false
+/// when the log is disabled. Callers flush the JSONL at their own pace.
+bool AppendQueryRecord(QueryRecord record, const Status& status,
+                       const TraceSink* spans, bool observe_flight = true)
+    REQUIRES(GlobalObsMutex());
 
 /// Fixed-capacity, mutex-sharded log of query records — the third obs
 /// pillar beside the trace ring and the metrics registry. Appends hash

@@ -757,7 +757,7 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
   return out;
 }
 
-Relation SemiJoinColumnarFiltered(const Relation& left, const Relation& right,
+Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
                                   const SemiJoinSpec& spec, ExecContext& ctx,
                                   const MorselExec& mx,
                                   std::vector<int64_t>* morsel_rows_out) {
@@ -899,31 +899,6 @@ Relation SemiJoinColumnarFiltered(const Relation& left, const Relation& right,
   ctx.stats().NotePeakBytes(footprint);
   ctx.stats().NoteIntermediate(out.arity(), out.size());
   return out;
-}
-
-Relation NaturalJoinColumnar(const Relation& left, const Relation& right,
-                             ExecContext& ctx, const MorselExec& mx) {
-  return HashJoinColumnar(left, right,
-                          PlanJoin(left.schema(), right.schema()), ctx, mx);
-}
-
-Relation ProjectColumnar(const Relation& input,
-                         const std::vector<AttrId>& attrs, ExecContext& ctx,
-                         const MorselExec& mx) {
-  return ProjectColumnsColumnar(input, PlanProject(input.schema(), attrs),
-                                ctx, mx);
-}
-
-Relation SemiJoinColumnar(const Relation& left, const Relation& right,
-                          ExecContext& ctx, const MorselExec& mx) {
-  return SemiJoinColumnarFiltered(
-      left, right, PlanSemiJoin(left.schema(), right.schema()), ctx, mx);
-}
-
-Relation BindAtomColumnar(const Relation& stored,
-                          const std::vector<AttrId>& args, ExecContext& ctx,
-                          const MorselExec& mx) {
-  return ScanAtomColumnar(stored, PlanScan(stored.arity(), args), ctx, mx);
 }
 
 }  // namespace ppr

@@ -112,23 +112,10 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
 /// Columnar semijoin kernel: shared key filter built from the right side,
 /// left side probed per morsel with survivors recorded in selection
 /// vectors. Oracle-equal to SemiJoinFiltered.
-Relation SemiJoinColumnarFiltered(
+Relation SemiJoinFilteredColumnar(
     const Relation& left, const Relation& right, const SemiJoinSpec& spec,
     ExecContext& ctx, const MorselExec& mx,
     std::vector<int64_t>* morsel_rows_out = nullptr);
-
-/// Schema-level one-shot wrappers, mirroring NaturalJoin / Project /
-/// SemiJoin / BindAtom from relational/ops.h.
-Relation NaturalJoinColumnar(const Relation& left, const Relation& right,
-                             ExecContext& ctx, const MorselExec& mx);
-Relation ProjectColumnar(const Relation& input,
-                         const std::vector<AttrId>& attrs, ExecContext& ctx,
-                         const MorselExec& mx);
-Relation SemiJoinColumnar(const Relation& left, const Relation& right,
-                          ExecContext& ctx, const MorselExec& mx);
-Relation BindAtomColumnar(const Relation& stored,
-                          const std::vector<AttrId>& args, ExecContext& ctx,
-                          const MorselExec& mx);
 
 }  // namespace ppr
 

@@ -265,55 +265,45 @@ BatchResult BatchExecutor::Run(const std::vector<BatchJob>& jobs) {
   // order — that (not the workers' interleaving) is what makes the
   // exported JSONL byte-identical across worker counts.
   if (telemetry) {
-    if (QueryLog* qlog = GlobalQueryLogIfEnabled(); qlog != nullptr) {
-      MutexLock lock(GlobalObsMutex());
-      FlightRecorder* flights = GlobalFlightRecorderIfEnabled();
-      const TraceSink* sink = tracing ? GlobalTraceSinkIfEnabled() : nullptr;
+    MutexLock lock(GlobalObsMutex());
+    const TraceSink* sink = tracing ? GlobalTraceSinkIfEnabled() : nullptr;
 
-      // Deterministic cache-hit reattribution: per-job compiled_here is
-      // scheduling-dependent (any of a key's jobs may win the
-      // single-flight compile), but *whether* a key compiled this batch
-      // is not. Among each compiled key's jobs, the first in input order
-      // is recorded as the miss; jobs of keys that never compiled were
-      // served from a pre-existing entry and are all hits.
-      using GroupKey = std::tuple<uint64_t, int32_t, uint64_t>;
-      const auto group_of = [&](size_t i) {
-        return GroupKey{telem[i].fingerprint,
-                        static_cast<int32_t>(jobs[i].strategy), jobs[i].seed};
-      };
-      std::set<GroupKey> compiled;
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        if (telem[i].compiled_here) compiled.insert(group_of(i));
-      }
-      std::set<GroupKey> miss_taken;
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        const ExecutionResult& r = out.results[i];
-        QueryRecord rec;
-        rec.fingerprint = telem[i].fingerprint;
-        rec.strategy = static_cast<int32_t>(jobs[i].strategy);
-        rec.source = QuerySource::kBatch;
-        if (cache_ == nullptr) {
-          rec.cache_hit = false;
-        } else if (const GroupKey g = group_of(i); compiled.count(g) > 0) {
-          rec.cache_hit = !miss_taken.insert(g).second;
-        } else {
-          rec.cache_hit = true;
-        }
-        ClassifyStatus(r.status, &rec);
-        rec.wall_ns = static_cast<int64_t>(r.seconds * 1e9);
-        rec.tuples_produced = static_cast<int64_t>(r.stats.tuples_produced);
-        rec.output_rows = r.status.ok() ? r.output.size() : -1;
-        rec.peak_bytes = static_cast<int64_t>(r.stats.peak_bytes);
-        rec.max_arity = r.stats.max_intermediate_arity;
-        rec.predicted_width = telem[i].predicted_width;
-        rec.bound_headroom = telem[i].predicted_width >= 0
-                                 ? telem[i].predicted_width - rec.max_arity
-                                 : 0;
-        rec.seq = qlog->Append(rec);
-        if (flights != nullptr) (void)flights->Observe(rec, *qlog, sink);
-      }
-      (void)FlushQueryLogArtifact();
+    // Deterministic cache-hit reattribution: per-job compiled_here is
+    // scheduling-dependent (any of a key's jobs may win the single-flight
+    // compile), but *whether* a key compiled this batch is not. Among each
+    // compiled key's jobs, the first in input order is recorded as the
+    // miss; jobs of keys that never compiled were served from a
+    // pre-existing entry and are all hits.
+    using GroupKey = std::tuple<uint64_t, int32_t, uint64_t>;
+    const auto group_of = [&](size_t i) {
+      return GroupKey{telem[i].fingerprint,
+                      static_cast<int32_t>(jobs[i].strategy), jobs[i].seed};
+    };
+    std::set<GroupKey> compiled;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      if (telem[i].compiled_here) compiled.insert(group_of(i));
     }
+    std::set<GroupKey> miss_taken;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      const ExecutionResult& r = out.results[i];
+      bool cache_hit = cache_ != nullptr;
+      if (const GroupKey g = group_of(i); cache_hit && compiled.count(g) > 0) {
+        cache_hit = !miss_taken.insert(g).second;
+      }
+      (void)AppendQueryRecord(
+          {.fingerprint = telem[i].fingerprint,
+           .strategy = static_cast<int32_t>(jobs[i].strategy),
+           .source = QuerySource::kBatch,
+           .cache_hit = cache_hit,
+           .wall_ns = static_cast<int64_t>(r.seconds * 1e9),
+           .tuples_produced = static_cast<int64_t>(r.stats.tuples_produced),
+           .output_rows = r.status.ok() ? r.output.size() : -1,
+           .peak_bytes = static_cast<int64_t>(r.stats.peak_bytes),
+           .max_arity = r.stats.max_intermediate_arity,
+           .predicted_width = telem[i].predicted_width},
+          r.status, sink);
+    }
+    (void)FlushQueryLogArtifact();
   }
   return out;
 }

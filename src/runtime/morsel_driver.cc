@@ -7,7 +7,6 @@
 #include "common/env.h"
 #include "common/mutex.h"
 #include "exec/verify_hook.h"
-#include "obs/telemetry/flight_recorder.h"
 #include "obs/telemetry/query_log.h"
 #include "obs/trace.h"
 #include "runtime/plan_cache.h"
@@ -36,7 +35,25 @@ int64_t MorselDriver::morsel_rows() const {
                                   : ProcessEnv().morsel_rows;
 }
 
-MorselExec MorselDriver::PrepareExec() {
+ExecutionResult MorselDriver::Run(const PhysicalPlan& plan,
+                                  Counter tuple_budget, TraceSink* trace,
+                                  MetricsRegistry* metrics,
+                                  const MorselQueryContext* verify_ctx,
+                                  MorselAccounting* accounting) {
+  // Force lazily-initialized process-wide state on this thread before
+  // any worker touches it (the BatchExecutor::Run pattern).
+  (void)ProcessEnv();
+  (void)TracingEnabled();
+  const bool verification_on = PlanVerificationEnabled();
+  const std::shared_ptr<const PlanVerifierHooks> hooks =
+      GetPlanVerifierHooks();
+
+  const bool verify = verify_ctx != nullptr && verification_on &&
+                      hooks->morsel_accounting != nullptr;
+  MorselAccounting local_accounting;
+  MorselAccounting* acct = accounting;
+  if (acct == nullptr && verify) acct = &local_accounting;
+
   MorselExec mx;
   mx.morsel_rows = options_.morsel_rows;
   mx.num_workers = num_threads_;
@@ -57,32 +74,8 @@ MorselExec MorselDriver::PrepareExec() {
       pool->Wait();
     };
   }
-  return mx;
-}
-
-ExecutionResult MorselDriver::Run(const PhysicalPlan& plan,
-                                  Counter tuple_budget, TraceSink* trace,
-                                  MetricsRegistry* metrics,
-                                  const MorselQueryContext* verify_ctx,
-                                  MorselAccounting* accounting) {
-  // Force lazily-initialized process-wide state on this thread before
-  // any worker touches it (the BatchExecutor::Run pattern).
-  (void)ProcessEnv();
-  (void)TracingEnabled();
-  const bool verification_on = PlanVerificationEnabled();
-  const std::shared_ptr<const PlanVerifierHooks> hooks =
-      GetPlanVerifierHooks();
-
-  const bool verify = verify_ctx != nullptr && verification_on &&
-                      hooks->morsel_accounting != nullptr;
-  MorselAccounting local_accounting;
-  MorselAccounting* acct = accounting;
-  if (acct == nullptr && verify) acct = &local_accounting;
-
-  const MorselExec mx = PrepareExec();
-  ExecutionResult result = plan.ExecuteMorsel(mx, &control_arena_,
-                                              tuple_budget, trace, metrics,
-                                              acct);
+  ExecutionResult result = plan.ExecuteShared(
+      &control_arena_, tuple_budget, trace, metrics, acct, &mx);
   if (verify) {
     PPR_CHECK(verify_ctx->query != nullptr && verify_ctx->plan != nullptr &&
               verify_ctx->db != nullptr);
@@ -91,10 +84,16 @@ ExecutionResult MorselDriver::Run(const PhysicalPlan& plan,
     if (!verdict.ok()) result.status = std::move(verdict);
   }
 
-  // Query-log drain (the BatchExecutor pattern, one record per run).
-  // The null check is the whole disabled-path cost.
-  if (QueryLog* qlog = GlobalQueryLogIfEnabled(); qlog != nullptr) {
-    QueryRecord rec;
+  // Query-log drain, one record per run. The null check is the whole
+  // disabled-path cost.
+  if (GlobalQueryLogIfEnabled() != nullptr) {
+    QueryRecord rec{
+        .source = QuerySource::kMorsel,
+        .wall_ns = static_cast<int64_t>(result.seconds * 1e9),
+        .tuples_produced = static_cast<int64_t>(result.stats.tuples_produced),
+        .output_rows = result.status.ok() ? result.output.size() : -1,
+        .peak_bytes = static_cast<int64_t>(result.stats.peak_bytes),
+        .max_arity = result.stats.max_intermediate_arity};
     if (verify_ctx != nullptr && verify_ctx->query != nullptr) {
       // Cold path (the run itself dwarfs one canonicalization): recover
       // the structural fingerprint so morsel records bucket with the
@@ -102,23 +101,11 @@ ExecutionResult MorselDriver::Run(const PhysicalPlan& plan,
       rec.fingerprint = FingerprintQueryStructure(
           CanonicalizeQuery(*verify_ctx->query).structure);
     }
-    rec.source = QuerySource::kMorsel;
-    ClassifyStatus(result.status, &rec);
-    rec.wall_ns = static_cast<int64_t>(result.seconds * 1e9);
-    rec.tuples_produced = static_cast<int64_t>(result.stats.tuples_produced);
-    rec.output_rows = result.status.ok() ? result.output.size() : -1;
-    rec.peak_bytes = static_cast<int64_t>(result.stats.peak_bytes);
-    rec.max_arity = result.stats.max_intermediate_arity;
     if (verify_ctx != nullptr && verify_ctx->plan != nullptr) {
       rec.predicted_width = static_cast<int32_t>(verify_ctx->plan->Width());
-      rec.bound_headroom = rec.predicted_width - rec.max_arity;
     }
     MutexLock lock(GlobalObsMutex());
-    rec.seq = qlog->Append(rec);
-    if (FlightRecorder* flights = GlobalFlightRecorderIfEnabled();
-        flights != nullptr) {
-      (void)flights->Observe(rec, *qlog, trace);
-    }
+    (void)AppendQueryRecord(std::move(rec), result.status, trace);
     (void)FlushQueryLogArtifact();
   }
   return result;

@@ -39,7 +39,8 @@ struct MorselQueryContext {
 
 /// Morsel-driven intra-query parallelism over one compiled plan: the
 /// complement of BatchExecutor (which parallelizes *across* queries).
-/// Operators run through the columnar batch kernels
+/// Run() passes its MorselExec to PhysicalPlan::ExecuteShared, so
+/// operators run through the columnar batch kernels
 /// (relational/batch_ops.h); shared build structures are constructed on
 /// the calling thread, then the probe/input side of each operator is
 /// partitioned into cache-sized morsels executed across a ThreadPool.
@@ -81,18 +82,12 @@ class MorselDriver {
                       const MorselQueryContext* verify_ctx = nullptr,
                       MorselAccounting* accounting = nullptr);
 
-  /// The MorselExec handed to the kernels on the next Run() — exposed so
-  /// tests and benchmarks can execute kernels directly under the
-  /// driver's pool. Worker arenas are reset.
-  MorselExec PrepareExec();
-
  private:
   MorselDriverOptions options_;
   int num_threads_ = 1;
   /// Workers outlive runs (spawned once); null when num_threads_ == 1 —
   /// a single-threaded driver runs morsels inline with zero pool
-  /// overhead, which is what keeps the columnar path no slower than the
-  /// row path at one thread.
+  /// overhead.
   std::unique_ptr<ThreadPool> pool_;
   /// Control-side scratch (shared hash builds, merge phases), reused
   /// across runs like PhysicalPlan's internal arena.

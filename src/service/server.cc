@@ -3,13 +3,19 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <iterator>
 #include <utility>
+
+#include "obs/metrics.h"
+#include "obs/obs_lock.h"
 
 namespace ppr {
 
@@ -70,17 +76,29 @@ Status ServiceServer::Start() {
 }
 
 void ServiceServer::AcceptLoop() {
-  while (true) {
+  while (!stopping_.load(std::memory_order_acquire)) {
+    // Wake at least every 100 ms, so finished connections are reaped even
+    // when no new one arrives.
+    pollfd listener{listen_fd_, POLLIN, 0};
+    const int ready = ::poll(&listener, 1, 100);
+    ReapFinished();
+    if (ready <= 0 || stopping_.load(std::memory_order_acquire)) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      // Stop() shut the listener down; anything else is equally terminal
-      // for the accept loop (the daemon keeps serving open connections).
-      return;
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
+      if (errno == EINTR || stopping_.load(std::memory_order_acquire)) {
+        continue;
+      }
+      // Only Stop() ends the loop. The failures seen in practice are
+      // transient: descriptor exhaustion (EMFILE, ENFILE), a client that
+      // gave up in the backlog (ECONNABORTED), buffer pressure (ENOBUFS).
+      // Count the failure and pause; reaping may free descriptors.
+      accept_errors_.fetch_add(1, std::memory_order_acq_rel);
+      {
+        MutexLock lock(GlobalObsMutex());
+        GlobalMetrics().AddCounter("service.accept_errors", 1);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
     }
     // Request/response frames are small; Nagle + delayed ACK would add
     // ~40ms per round trip for nothing.
@@ -89,9 +107,26 @@ void ServiceServer::AcceptLoop() {
     connections_accepted_.fetch_add(1, std::memory_order_acq_rel);
     auto conn = std::make_shared<Conn>(fd);
     MutexLock lock(mu_);
-    conns_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] { ConnLoop(conn); });
+    conns_.push_back({conn, std::thread([this, conn] {
+                        ConnLoop(conn);
+                        conn->finished.store(true, std::memory_order_release);
+                      })});
   }
+}
+
+void ServiceServer::ReapFinished() {
+  std::vector<ConnThread> finished;
+  {
+    MutexLock lock(mu_);
+    const auto live_end =
+        std::partition(conns_.begin(), conns_.end(), [](const ConnThread& c) {
+          return !c.conn->finished.load(std::memory_order_acquire);
+        });
+    finished.assign(std::make_move_iterator(live_end),
+                    std::make_move_iterator(conns_.end()));
+    conns_.erase(live_end, conns_.end());
+  }
+  for (ConnThread& c : finished) c.thread.join();
 }
 
 void ServiceServer::ConnLoop(const std::shared_ptr<Conn>& conn) {
@@ -214,19 +249,13 @@ void ServiceServer::Stop() {
 
   // 3. Unblock connection threads stuck in recv and join them. The Conn
   // objects (and their fds) die with the last shared_ptr.
-  std::vector<std::shared_ptr<Conn>> conns;
-  std::vector<std::thread> threads;
+  std::vector<ConnThread> conns;
   {
     MutexLock lock(mu_);
     conns.swap(conns_);
-    threads.swap(conn_threads_);
   }
-  for (const std::shared_ptr<Conn>& conn : conns) {
-    (void)::shutdown(conn->fd, SHUT_RDWR);
-  }
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
-  }
+  for (const ConnThread& c : conns) (void)::shutdown(c.conn->fd, SHUT_RDWR);
+  for (ConnThread& c : conns) c.thread.join();
 }
 
 }  // namespace ppr

@@ -69,6 +69,11 @@ class ServiceServer {
   int64_t write_errors() const {
     return write_errors_.load(std::memory_order_acquire);
   }
+  /// accept() failures survived by backing off (also counted in the
+  /// `service.accept_errors` metric).
+  int64_t accept_errors() const {
+    return accept_errors_.load(std::memory_order_acquire);
+  }
 
  private:
   /// One live connection. The fd is owned here and closed exactly once,
@@ -81,9 +86,19 @@ class ServiceServer {
     ~Conn();
     const int fd;
     Mutex write_mu;
+    /// Set when ConnLoop returns; AcceptLoop then reaps the connection.
+    std::atomic<bool> finished{false};
+  };
+  /// A connection and the thread serving it.
+  struct ConnThread {
+    std::shared_ptr<Conn> conn;
+    std::thread thread;
   };
 
   void AcceptLoop();
+  /// Joins the threads of finished connections and drops their Conns, so
+  /// a connection's fd closes once its last in-flight reply is written.
+  void ReapFinished();
   void ConnLoop(const std::shared_ptr<Conn>& conn);
   /// Serializes one reply (header, batches, trailer) and writes it under
   /// the connection's write mutex.
@@ -98,11 +113,11 @@ class ServiceServer {
   std::atomic<bool> stopping_{false};
   std::atomic<int64_t> connections_accepted_{0};
   std::atomic<int64_t> write_errors_{0};
+  std::atomic<int64_t> accept_errors_{0};
 
   Mutex mu_;
   bool stopped_ GUARDED_BY(mu_) = false;
-  std::vector<std::shared_ptr<Conn>> conns_ GUARDED_BY(mu_);
-  std::vector<std::thread> conn_threads_ GUARDED_BY(mu_);
+  std::vector<ConnThread> conns_ GUARDED_BY(mu_);
 };
 
 }  // namespace ppr

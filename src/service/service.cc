@@ -360,12 +360,34 @@ void QueryService::RecordOutcome(const ServiceReply& reply,
                                  std::string_view event, bool admitted,
                                  const MetricsRegistry* run,
                                  const TraceSink* trace) {
+  QueryRecord rec{
+      .fingerprint = fingerprint,
+      .strategy = strategy_ordinal,
+      .source = QuerySource::kService,
+      .cache_hit = reply.cache_hit,
+      .wall_ns = reply.wall_ns,
+      .tuples_produced = static_cast<int64_t>(reply.stats.tuples_produced),
+      .output_rows = reply.ok() ? reply.output.size() : -1,
+      .peak_bytes = static_cast<int64_t>(reply.stats.peak_bytes),
+      .max_arity = reply.stats.max_intermediate_arity,
+      .predicted_width = reply.predicted_width};
   MutexLock lock(GlobalObsMutex());
-  MetricsRegistry& global = GlobalMetrics();
-  if (run != nullptr) global.Merge(*run);
   if (trace != nullptr && GlobalTraceSinkIfEnabled() != nullptr) {
     MergeIntoGlobalSink(*trace);
   }
+  // Shed/deadline/error anomalies (not client typos) arm the flight
+  // recorder: the dump is the overload evidence.
+  if (AppendQueryRecord(std::move(rec), reply.detail,
+                        GlobalTraceSinkIfEnabled(),
+                        reply.status != ServiceStatus::kInvalid) &&
+      records_since_flush_.fetch_add(1, std::memory_order_acq_rel) + 1 >=
+          kFlushEvery) {
+    records_since_flush_.store(0, std::memory_order_release);
+    (void)FlushQueryLogArtifact();
+  }
+
+  MetricsRegistry& global = GlobalMetrics();
+  if (run != nullptr) global.Merge(*run);
   global.AddCounter("service.requests", 1);
   global.AddCounter(event, 1);
   if (admitted) {
@@ -378,42 +400,6 @@ void QueryService::RecordOutcome(const ServiceReply& reply,
     global.RecordHistogram("service.wall_ns",
                            static_cast<uint64_t>(std::max<int64_t>(
                                reply.wall_ns, 0)));
-  }
-
-  QueryLog* qlog = GlobalQueryLogIfEnabled();
-  if (qlog == nullptr) return;
-  QueryRecord rec;
-  rec.fingerprint = fingerprint;
-  rec.strategy = strategy_ordinal;
-  rec.source = QuerySource::kService;
-  rec.cache_hit = reply.cache_hit;
-  ClassifyStatus(reply.detail, &rec);
-  rec.wall_ns = reply.wall_ns;
-  rec.tuples_produced = static_cast<int64_t>(reply.stats.tuples_produced);
-  rec.output_rows = reply.ok() ? reply.output.size() : -1;
-  rec.peak_bytes = static_cast<int64_t>(reply.stats.peak_bytes);
-  rec.max_arity = reply.stats.max_intermediate_arity;
-  rec.predicted_width = reply.predicted_width;
-  rec.bound_headroom = reply.predicted_width >= 0
-                           ? reply.predicted_width - rec.max_arity
-                           : 0;
-  rec.seq = qlog->Append(rec);
-  // Shed/deadline/error anomalies (not client typos) arm the flight
-  // recorder: the dump is the overload evidence.
-  if (reply.status != ServiceStatus::kInvalid) {
-    // Still under the MutexLock taken at the top of RecordOutcome; the
-    // lint's 20-line window cannot see that far back.
-    if (FlightRecorder* flights =
-            GlobalFlightRecorderIfEnabled();  // pprlint: allow(obs-lock)
-        flights != nullptr) {
-      (void)flights->Observe(rec, *qlog, GlobalTraceSinkIfEnabled());
-    }
-  }
-  if (records_since_flush_.fetch_add(1, std::memory_order_acq_rel) + 1 >=
-      kFlushEvery) {
-    records_since_flush_.store(0, std::memory_order_release);
-    // Same RecordOutcome-wide MutexLock hold as above.
-    (void)FlushQueryLogArtifact();  // pprlint: allow(obs-lock)
   }
 }
 

@@ -251,6 +251,31 @@ MorselExec Morsels(int64_t rows) {
   return mx;
 }
 
+// The columnar spec kernels with their specs derived from the input
+// schemas, for the one-shot edge cases below.
+struct SpecKernels {
+  ExecContext& ctx;
+  const MorselExec& mx;
+
+  Relation Join(const Relation& left, const Relation& right) const {
+    return HashJoinColumnar(left, right,
+                            PlanJoin(left.schema(), right.schema()), ctx, mx);
+  }
+  Relation Project(const Relation& input,
+                   const std::vector<AttrId>& attrs) const {
+    return ProjectColumnsColumnar(input, PlanProject(input.schema(), attrs),
+                                  ctx, mx);
+  }
+  Relation SemiJoin(const Relation& left, const Relation& right) const {
+    return SemiJoinFilteredColumnar(
+        left, right, PlanSemiJoin(left.schema(), right.schema()), ctx, mx);
+  }
+  Relation Bind(const Relation& stored,
+                const std::vector<AttrId>& args) const {
+    return ScanAtomColumnar(stored, PlanScan(stored.arity(), args), ctx, mx);
+  }
+};
+
 TEST(FlatOpsPropertyTest, ColumnarJoinIsRowJoinExactly) {
   Rng rng(505);
   for (int trial = 0; trial < 200; ++trial) {
@@ -261,7 +286,9 @@ TEST(FlatOpsPropertyTest, ColumnarJoinIsRowJoinExactly) {
     for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
       ExecContext col_ctx;
       const Relation col_out =
-          NaturalJoinColumnar(left, right, col_ctx, Morsels(morsel));
+          HashJoinColumnar(left, right,
+                           PlanJoin(left.schema(), right.schema()), col_ctx,
+                           Morsels(morsel));
       ExpectSameRows(row_out, col_out, trial);
       ExpectSameStatsExceptPeak(row_ctx.stats(), col_ctx.stats(), trial);
     }
@@ -281,7 +308,8 @@ TEST(FlatOpsPropertyTest, ColumnarProjectIsRowProjectExactly) {
     for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
       ExecContext col_ctx;
       const Relation col_out =
-          ProjectColumnar(input, keep, col_ctx, Morsels(morsel));
+          ProjectColumnsColumnar(input, PlanProject(input.schema(), keep),
+                                 col_ctx, Morsels(morsel));
       // Distinct-order preservation across morsel merges is part of the
       // contract, so the comparison is exact, not SetEquals.
       ExpectSameRows(row_out, col_out, trial);
@@ -300,7 +328,9 @@ TEST(FlatOpsPropertyTest, ColumnarSemiJoinIsRowSemiJoinExactly) {
     for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
       ExecContext col_ctx;
       const Relation col_out =
-          SemiJoinColumnar(left, right, col_ctx, Morsels(morsel));
+          SemiJoinFilteredColumnar(left, right,
+                                   PlanSemiJoin(left.schema(), right.schema()),
+                                   col_ctx, Morsels(morsel));
       ExpectSameRows(row_out, col_out, trial);
       ExpectSameStatsExceptPeak(row_ctx.stats(), col_ctx.stats(), trial);
     }
@@ -322,7 +352,8 @@ TEST(FlatOpsPropertyTest, ColumnarBindAtomIsRowBindAtomExactly) {
     for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
       ExecContext col_ctx;
       const Relation col_out =
-          BindAtomColumnar(stored, args, col_ctx, Morsels(morsel));
+          ScanAtomColumnar(stored, PlanScan(stored.arity(), args), col_ctx,
+                           Morsels(morsel));
       ExpectSameRows(row_out, col_out, trial);
       ExpectSameStatsExceptPeak(row_ctx.stats(), col_ctx.stats(), trial);
     }
@@ -342,28 +373,29 @@ TEST(FlatOpsPropertyTest, ColumnarEmptyAndSingleRowEdges) {
   for (const int64_t morsel : {int64_t{1}, int64_t{64}}) {
     const MorselExec mx = Morsels(morsel);
     ExecContext ctx;
-    EXPECT_TRUE(NaturalJoinColumnar(empty_ab, empty_bc, ctx, mx).empty());
-    EXPECT_TRUE(NaturalJoinColumnar(one_ab, empty_bc, ctx, mx).empty());
-    EXPECT_TRUE(NaturalJoinColumnar(empty_ab, one_bc, ctx, mx).empty());
-    const Relation joined = NaturalJoinColumnar(one_ab, one_bc, ctx, mx);
+    const SpecKernels k{ctx, mx};
+    EXPECT_TRUE(k.Join(empty_ab, empty_bc).empty());
+    EXPECT_TRUE(k.Join(one_ab, empty_bc).empty());
+    EXPECT_TRUE(k.Join(empty_ab, one_bc).empty());
+    const Relation joined = k.Join(one_ab, one_bc);
     ASSERT_EQ(joined.size(), 1);
     EXPECT_EQ(joined.at(0, 0), 1);
     EXPECT_EQ(joined.at(0, 1), 2);
     EXPECT_EQ(joined.at(0, 2), 3);
 
-    EXPECT_TRUE(ProjectColumnar(empty_ab, {0}, ctx, mx).empty());
-    const Relation projected = ProjectColumnar(one_ab, {1}, ctx, mx);
+    EXPECT_TRUE(k.Project(empty_ab, {0}).empty());
+    const Relation projected = k.Project(one_ab, {1});
     ASSERT_EQ(projected.size(), 1);
     EXPECT_EQ(projected.at(0, 0), 2);
 
-    EXPECT_TRUE(SemiJoinColumnar(empty_ab, one_bc, ctx, mx).empty());
-    EXPECT_TRUE(SemiJoinColumnar(one_ab, empty_bc, ctx, mx).empty());
-    EXPECT_EQ(SemiJoinColumnar(one_ab, one_bc, ctx, mx).size(), 1);
+    EXPECT_TRUE(k.SemiJoin(empty_ab, one_bc).empty());
+    EXPECT_TRUE(k.SemiJoin(one_ab, empty_bc).empty());
+    EXPECT_EQ(k.SemiJoin(one_ab, one_bc).size(), 1);
 
-    EXPECT_TRUE(BindAtomColumnar(empty_ab, {7, 7}, ctx, mx).empty());
+    EXPECT_TRUE(k.Bind(empty_ab, {7, 7}).empty());
     // Repeated attribute on a single row: 1 != 2, so the binding fails.
-    EXPECT_TRUE(BindAtomColumnar(one_ab, {7, 7}, ctx, mx).empty());
-    const Relation bound = BindAtomColumnar(one_ab, {7, 8}, ctx, mx);
+    EXPECT_TRUE(k.Bind(one_ab, {7, 7}).empty());
+    const Relation bound = k.Bind(one_ab, {7, 8});
     ASSERT_EQ(bound.size(), 1);
   }
 }
@@ -379,18 +411,18 @@ TEST(FlatOpsPropertyTest, ColumnarNullarySchemasDelegate) {
 
   const MorselExec mx = Morsels(1);
   ExecContext ctx;
-  EXPECT_TRUE(NaturalJoinColumnar(full_n, full_n, ctx, mx).SetEquals(full_n));
-  EXPECT_TRUE(
-      NaturalJoinColumnar(full_n, empty_n, ctx, mx).SetEquals(empty_n));
-  EXPECT_TRUE(NaturalJoinColumnar(unary, full_n, ctx, mx).SetEquals(unary));
-  EXPECT_TRUE(NaturalJoinColumnar(full_n, unary, ctx, mx).SetEquals(unary));
-  EXPECT_TRUE(NaturalJoinColumnar(unary, empty_n, ctx, mx).empty());
+  const SpecKernels k{ctx, mx};
+  EXPECT_TRUE(k.Join(full_n, full_n).SetEquals(full_n));
+  EXPECT_TRUE(k.Join(full_n, empty_n).SetEquals(empty_n));
+  EXPECT_TRUE(k.Join(unary, full_n).SetEquals(unary));
+  EXPECT_TRUE(k.Join(full_n, unary).SetEquals(unary));
+  EXPECT_TRUE(k.Join(unary, empty_n).empty());
   // Boolean projection: nonempty input yields the single empty tuple.
-  const Relation truth = ProjectColumnar(unary, {}, ctx, mx);
+  const Relation truth = k.Project(unary, {});
   EXPECT_TRUE(truth.SetEquals(full_n));
-  EXPECT_TRUE(ProjectColumnar(Relation{Schema({3})}, {}, ctx, mx).empty());
-  EXPECT_TRUE(SemiJoinColumnar(unary, full_n, ctx, mx).SetEquals(unary));
-  EXPECT_TRUE(SemiJoinColumnar(unary, empty_n, ctx, mx).empty());
+  EXPECT_TRUE(k.Project(Relation{Schema({3})}, {}).empty());
+  EXPECT_TRUE(k.SemiJoin(unary, full_n).SetEquals(unary));
+  EXPECT_TRUE(k.SemiJoin(unary, empty_n).empty());
 }
 
 TEST(FlatOpsPropertyTest, ColumnBatchSelectionAllFalse) {

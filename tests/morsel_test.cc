@@ -274,11 +274,13 @@ TEST(MorselDriverTest, VerifierHookRunsAfterVerifiedRun) {
   EXPECT_EQ(truncated.status.code(), StatusCode::kResourceExhausted);
 }
 
-TEST(MorselDriverTest, ExecuteColumnarMatchesExecute) {
+TEST(MorselDriverTest, InlineMorselExecMatchesExecute) {
   Database db = ThreeColorDb();
   Compiled c = CompileRandomColoring(db, 7, 10, 5);
   const ExecutionResult row = c.physical.Execute();
-  const ExecutionResult col = c.physical.ExecuteColumnar();
+  const MorselExec inline_mx;  // sequential, env-default morsel size
+  const ExecutionResult col = c.physical.ExecuteShared(
+      nullptr, kCounterMax, nullptr, nullptr, nullptr, &inline_mx);
   ASSERT_TRUE(row.status.ok());
   ASSERT_TRUE(col.status.ok());
   ExpectSameRows(row.output, col.output);

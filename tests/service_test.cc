@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
@@ -46,6 +49,35 @@ ServiceRequest MakeRequest(std::string text, uint64_t id = 1,
   request.client_id = client;
   request.query_text = std::move(text);
   return request;
+}
+
+// Entries of a /proc/self directory: open descriptors ("fd") or live
+// threads ("task"). The iterator's own descriptor counts on every call.
+int ProcEntries(const char* dir) {
+  int n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator(std::string("/proc/self/") + dir)) {
+    ++n;
+  }
+  return n;
+}
+
+int HighestOpenFd() {
+  int highest = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    highest = std::max(highest, std::stoi(entry.path().filename().string()));
+  }
+  return highest;
+}
+
+// One served round trip on a fresh connection.
+bool ServedOnNewConnection(int port, uint64_t request_id) {
+  Result<ServiceClient> client = ServiceClient::Connect("127.0.0.1", port);
+  if (!client.ok()) return false;
+  Result<ServiceReply> reply =
+      client->Call(MakeRequest("pi{X} edge(X, Y)", request_id));
+  return reply.ok() && reply->ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -648,6 +680,113 @@ TEST(ServiceServerTest, ConcurrentConnectionsAllAnswered) {
   const ServiceCounters counters = service.counters();
   EXPECT_EQ(counters.requests, kClients * kPerClient);
   EXPECT_EQ(counters.ok, kClients * kPerClient);
+}
+
+TEST(ServiceServerTest, ConnectCloseCyclesLeaveFdAndThreadCountsFlat) {
+  const Database db = ThreeColorDb();
+  QueryService service(db, ServiceConfig{});
+  ServiceServer server(&service, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  const int fds_before = ProcEntries("fd");
+  const int threads_before = ProcEntries("task");
+
+  constexpr int kCycles = 2000;
+  for (int i = 0; i < kCycles; ++i) {
+    Result<ServiceClient> client =
+        ServiceClient::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok()) << "cycle " << i << ": "
+                             << client.status().ToString();
+    client->Close();
+    // Keep pace with the acceptor, so the listen backlog never overflows
+    // into SYN retransmits.
+    while (server.connections_accepted() <= i) std::this_thread::yield();
+  }
+  ASSERT_TRUE(ServedOnNewConnection(server.port(), 1));
+
+  // Every connection's descriptor and thread go once it finishes; a
+  // server that never reaps holds kCycles + 1 more of each.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((ProcEntries("fd") > fds_before ||
+          ProcEntries("task") > threads_before) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(ProcEntries("fd"), fds_before);
+  EXPECT_EQ(ProcEntries("task"), threads_before);
+
+  server.Stop();
+  EXPECT_EQ(server.connections_accepted(), kCycles + 1);
+  EXPECT_EQ(server.write_errors(), 0);
+  EXPECT_EQ(server.accept_errors(), 0);
+  const ServiceCounters counters = service.counters();
+  EXPECT_EQ(counters.requests, 1);
+  EXPECT_EQ(counters.ok, 1);
+}
+
+// Restores the descriptor limit however the test exits.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    PPR_CHECK(::getrlimit(RLIMIT_NOFILE, &saved_) == 0);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    PPR_CHECK(::setrlimit(RLIMIT_NOFILE, &lowered) == 0);
+  }
+  ~ScopedFdLimit() { (void)::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+ private:
+  rlimit saved_{};
+};
+
+TEST(ServiceServerTest, AcceptSurvivesDescriptorExhaustion) {
+  const Database db = ThreeColorDb();
+  QueryService service(db, ServiceConfig{});
+  ServiceServer server(&service, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(ServedOnNewConnection(server.port(), 1));
+
+  std::vector<ServiceClient> held;
+  {
+    // Descriptors are allocated lowest first, so this leaves only a few
+    // free: clients connect (the kernel completes the handshake into the
+    // backlog) until the server's accept() runs out of descriptors.
+    ScopedFdLimit limit(static_cast<rlim_t>(HighestOpenFd() + 4));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.accept_errors() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      if (Result<ServiceClient> client =
+              ServiceClient::Connect("127.0.0.1", server.port());
+          client.ok()) {
+        held.push_back(std::move(*client));
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    ASSERT_GT(server.accept_errors(), 0);
+    ASSERT_FALSE(held.empty());
+
+    // Free the clients' descriptors, still under the lowered limit: the
+    // server accepts the backlog, reaps those connections as they see
+    // EOF, and serves a new connection.
+    for (ServiceClient& client : held) client.Close();
+    const int64_t backlog = static_cast<int64_t>(held.size()) + 1;
+    while (server.connections_accepted() < backlog &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server.connections_accepted(), backlog);
+    EXPECT_TRUE(ServedOnNewConnection(server.port(), 2));
+  }
+
+  server.Stop();
+  EXPECT_EQ(server.connections_accepted(),
+            static_cast<int64_t>(held.size()) + 2);
+  EXPECT_EQ(server.write_errors(), 0);
+  const ServiceCounters counters = service.counters();
+  EXPECT_EQ(counters.requests, 2);
+  EXPECT_EQ(counters.ok, 2);
 }
 
 }  // namespace
