@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/strategies.h"
 #include "exec/physical_plan.h"
@@ -284,6 +285,146 @@ void BM_BindAtom(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_BindAtom)->Range(1 << 8, 1 << 14);
+
+// Wide keys, at the shape bucket elimination runs on batch_paper: each
+// step projects one variable out of a 9-17 column intermediate, so the
+// dedup key is nearly the whole row. The 2-value keys above hide that
+// cost. Inputs are 3-colour values; the arena is reused across
+// iterations, as a compiled plan's is.
+
+// `rows` rows over attrs 0..14 whose first 14 columns repeat an earlier
+// row's about 10% of the time, so projecting attr 14 away keeps ~90%.
+Relation WideProjectInput(int64_t rows) {
+  Rng rng(31);
+  std::vector<AttrId> attrs(15);
+  for (int c = 0; c < 15; ++c) attrs[static_cast<size_t>(c)] = c;
+  Relation rel{Schema(std::move(attrs))};
+  std::vector<Value> tuple(15);
+  for (int64_t i = 0; i < rows; ++i) {
+    if (i > 0 && rng.NextBounded(10) == 0) {
+      const auto prev = rel.row(static_cast<int64_t>(
+          rng.NextBounded(static_cast<uint64_t>(i))));
+      std::copy(prev.begin(), prev.end(), tuple.begin());
+    } else {
+      for (int c = 0; c < 14; ++c) {
+        tuple[static_cast<size_t>(c)] = static_cast<Value>(rng.NextBounded(3));
+      }
+    }
+    tuple[14] = static_cast<Value>(rng.NextBounded(3));
+    rel.AddTuple(tuple);
+  }
+  return rel;
+}
+
+std::vector<AttrId> WideProjectAttrs() {
+  std::vector<AttrId> attrs(14);
+  for (int c = 0; c < 14; ++c) attrs[static_cast<size_t>(c)] = c;
+  return attrs;
+}
+
+void BM_ProjectWide(benchmark::State& state) {
+  const Relation input = WideProjectInput(state.range(0));
+  const ProjectSpec spec = PlanProject(input.schema(), WideProjectAttrs());
+  ExecArena arena;
+  for (auto _ : state) {
+    ExecContext ctx(kCounterMax, &arena);
+    Relation out = ProjectColumns(input, spec, ctx);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * input.size());
+}
+BENCHMARK(BM_ProjectWide)->Range(1 << 8, 1 << 16);
+
+void BM_ProjectWideColumnar(benchmark::State& state) {
+  const Relation input = WideProjectInput(state.range(0));
+  const ProjectSpec spec = PlanProject(input.schema(), WideProjectAttrs());
+  const MorselExec mx;
+  ExecArena arena;
+  for (auto _ : state) {
+    ExecContext ctx(kCounterMax, &arena);
+    Relation out = ProjectColumnsColumnar(input, spec, ctx, mx);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * input.size());
+}
+BENCHMARK(BM_ProjectWideColumnar)->Range(1 << 8, 1 << 16);
+
+// Arity-14 relations sharing attrs 11..13. The shared columns draw from
+// a domain of about cbrt(rows) values, so the join emits about `rows`
+// rows of arity 25.
+std::pair<Relation, Relation> WideJoinInputs(int64_t rows) {
+  Value domain = 1;
+  while (int64_t{domain} * domain * domain < rows) ++domain;
+  Rng rng(37);
+  const auto make = [&](AttrId first) {
+    std::vector<AttrId> attrs(14);
+    for (int c = 0; c < 14; ++c) attrs[static_cast<size_t>(c)] = first + c;
+    Relation rel{Schema(std::move(attrs))};
+    std::vector<Value> tuple(14);
+    for (int64_t i = 0; i < rows; ++i) {
+      for (int c = 0; c < 14; ++c) {
+        const bool shared = first + c >= 11 && first + c <= 13;
+        tuple[static_cast<size_t>(c)] = static_cast<Value>(
+            rng.NextBounded(static_cast<uint64_t>(shared ? domain : 3)));
+      }
+      rel.AddTuple(tuple);
+    }
+    return rel;
+  };
+  Relation left = make(0);
+  Relation right = make(11);
+  return {std::move(left), std::move(right)};
+}
+
+void BM_JoinWide(benchmark::State& state) {
+  const auto [left, right] = WideJoinInputs(state.range(0));
+  const JoinSpec spec = PlanJoin(left.schema(), right.schema());
+  ExecArena arena;
+  int64_t produced = 0;
+  for (auto _ : state) {
+    ExecContext ctx(kCounterMax, &arena);
+    Relation out = HashJoin(left, right, spec, ctx);
+    produced += out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(produced);
+}
+BENCHMARK(BM_JoinWide)->Range(1 << 8, 1 << 14);
+
+void BM_JoinWideColumnar(benchmark::State& state) {
+  const auto [left, right] = WideJoinInputs(state.range(0));
+  const JoinSpec spec = PlanJoin(left.schema(), right.schema());
+  const MorselExec mx;
+  ExecArena arena;
+  int64_t produced = 0;
+  for (auto _ : state) {
+    ExecContext ctx(kCounterMax, &arena);
+    Relation out = HashJoinColumnar(left, right, spec, ctx, mx);
+    produced += out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(produced);
+}
+BENCHMARK(BM_JoinWideColumnar)->Range(1 << 8, 1 << 14);
+
+// Key hashing alone, per key width (items = keys hashed).
+void BM_HashPackedKey(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  constexpr int64_t kKeys = 4096;
+  Rng rng(41);
+  std::vector<Value> keys(static_cast<size_t>(kKeys * width));
+  for (Value& v : keys) v = static_cast<Value>(rng.NextBounded(3));
+  for (auto _ : state) {
+    uint64_t acc = 0;
+    for (int64_t k = 0; k < kKeys; ++k) {
+      acc ^= HashPackedKey(keys.data() + k * width, width);
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() * kKeys);
+}
+BENCHMARK(BM_HashPackedKey)->DenseRange(1, 4)->Arg(8)->Arg(9)->Arg(14)
+    ->Arg(15)->Arg(17)->Arg(24);
 
 }  // namespace
 }  // namespace ppr

@@ -38,18 +38,6 @@ void MorselExec::ForEachMorsel(
 
 namespace {
 
-// Mirrors the reservation cap of the row kernels (relational/ops.cc).
-constexpr int64_t kMaxReserveRows = int64_t{1} << 21;
-
-int64_t CappedReserveRows(double estimated_rows, ExecContext& ctx) {
-  double rows = std::min(estimated_rows, static_cast<double>(kMaxReserveRows));
-  const Counter headroom = ctx.budget_headroom();
-  if (headroom < static_cast<Counter>(rows)) {
-    rows = static_cast<double>(headroom);
-  }
-  return static_cast<int64_t>(rows);
-}
-
 struct MorselRange {
   int64_t begin;
   int64_t end;
@@ -63,18 +51,6 @@ MorselRange RangeOf(int64_t m, int64_t morsel_rows, int64_t total) {
 ExecArena& WorkerArena(const MorselExec& mx, ExecContext& ctx, int w) {
   if (mx.worker_arenas.empty()) return ctx.arena();
   return *mx.worker_arenas[static_cast<size_t>(w)];
-}
-
-// Clamps a kernel's exact output size to what the budget still allows.
-// min(total, headroom) is the same row the sequential kernel stops at:
-// it emits headroom rows before the charge latches exhausted(), and
-// ChargeTuples(min(total, headroom)) latches iff total >= headroom.
-int64_t ClampToHeadroom(int64_t total, ExecContext& ctx) {
-  const Counter headroom = ctx.budget_headroom();
-  if (static_cast<Counter>(total) > headroom) {
-    return static_cast<int64_t>(headroom);
-  }
-  return total;
 }
 
 // Private per-morsel trace shards, folded into the run's sink in
@@ -197,7 +173,7 @@ Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
     if (num_checks == 0) {
       // No repeated-attribute checks: the scan is a pure column gather,
       // written straight into the output with no batch round trip.
-      limit = ClampToHeadroom(in_rows, ctx);
+      limit = ctx.ClampToHeadroom(in_rows);
       Value* out_base = out.GrowRows(limit);
       for (int c = 0; c < out_arity; ++c) {
         const Value* src = base + spec.source_cols[static_cast<size_t>(c)];
@@ -223,7 +199,7 @@ Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
         batch.SetSelected(kept);
       }
       // Budget truncation keeps the first survivors, in row order.
-      limit = ClampToHeadroom(batch.num_selected(), ctx);
+      limit = ctx.ClampToHeadroom(batch.num_selected());
       batch.SetSelected(limit);
       batch.ScatterSelectedTo(out.GrowRows(limit), out_arity);
     }
@@ -270,7 +246,7 @@ Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
         offsets[static_cast<size_t>(m)] + counts[static_cast<size_t>(m)];
   }
   const int64_t total = offsets[static_cast<size_t>(num_morsels)];
-  const int64_t limit = ClampToHeadroom(total, ctx);
+  const int64_t limit = ctx.ClampToHeadroom(total);
 
   Value* out_base = out.GrowRows(limit);
   std::vector<int64_t> scratch(static_cast<size_t>(num_morsels), 0);
@@ -367,7 +343,6 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
       build_left ? spec.right_key_cols : spec.left_key_cols;
   const JoinIndex index(build, build_key_cols, ctx.arena());
 
-  const int key_width = static_cast<int>(spec.left_key_cols.size());
   const int left_arity = left.arity();
   const int right_arity = right.arity();
   const int out_arity = out.arity();
@@ -376,50 +351,38 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
   const Value* left_base = left.data();
   const Value* right_base = right.data();
   const Value* probe_base = probe.data();
-  const int* probe_key = probe_key_cols.data();
   const int* carry = spec.right_carry_cols.data();
   const int num_carry = static_cast<int>(spec.right_carry_cols.size());
 
   const int64_t morsel_rows = mx.effective_morsel_rows();
   const int64_t num_morsels = mx.NumMorsels(probe_rows);
 
-  // Single-morsel fast path: the per-morsel bookkeeping (counts,
-  // offsets, trace shards) exists to stitch independent morsels back
-  // together; with one morsel it is pure overhead, and the probe keys
-  // only need to be gathered and packed once for both probe passes.
-  // Identical rows, stats and accounts at any worker count — a
-  // one-morsel partition leaves the scheduler nothing to permute.
-  if (num_morsels == 1) {
-    SpanRecorder mrec(ctx.tracer(), TraceOp::kJoin, ctx.trace_node());
-    if (mrec.enabled()) {
-      mrec.span().rows_in = probe_rows;
-      mrec.span().arity_in = std::max(left_arity, right_arity);
-      mrec.span().arity_out = static_cast<int32_t>(out_arity);
-      mrec.span().morsel_id = 0;
-      mrec.span().batches = 1;
-      mrec.span().ht_build_rows = build.size();
-    }
-    ArenaScope scope(ctx.arena());
-    ColumnBatch keys(key_width, probe_rows, ctx.arena());
-    keys.GatherRows(probe_base, probe_arity, 0, probe_rows, probe_key);
-    Value* packed =
-        ctx.arena()
-            .AllocSpan<Value>(std::max<int64_t>(probe_rows * key_width, 1))
-            .data();
-    keys.ScatterSelectedTo(packed, key_width);
+  // Probe keys are read in place through strided column views, and the
+  // counting probe keeps each row's group id so the emit pass reads its
+  // matches without hashing again. Morsels write disjoint slices of
+  // `group`, so workers share the array without locks.
+  const Value* const* probe_cols =
+      KeyColumns(probe, probe_key_cols, ctx.arena());
+  int32_t* group = ctx.arena().AllocSpan<int32_t>(probe_rows).data();
+
+  // Counting probe over probe rows [begin, end): returns their matches.
+  const auto count_range = [&](int64_t begin, int64_t end) {
     int64_t total = 0;
-    for (int64_t i = 0; i < probe_rows; ++i) {
-      total +=
-          static_cast<int64_t>(index.Probe(packed + i * key_width).size());
+    for (int64_t i = begin; i < end; ++i) {
+      const int64_t g = index.FindGroup(probe_cols, i * probe_arity);
+      group[i] = static_cast<int32_t>(g);
+      total += static_cast<int64_t>(index.Matches(g).size());
     }
-    const int64_t limit = ClampToHeadroom(total, ctx);
-    Value* cursor = out.GrowRows(limit);
+    return total;
+  };
+  // Materializes the first `quota` matches of probe rows [begin, end) at
+  // `cursor`, in probe-row order then build-row order — the sequential
+  // kernel's order, so concatenated morsels reproduce it exactly.
+  const auto emit_range = [&](int64_t begin, int64_t end, int64_t quota,
+                              Value* cursor) {
     int64_t emitted = 0;
-    int64_t probes = 0;
-    for (int64_t i = 0; i < probe_rows && emitted < limit; ++i) {
-      const std::span<const int64_t> matches =
-          index.Probe(packed + i * key_width);
-      ++probes;
+    for (int64_t i = begin; i < end && emitted < quota; ++i) {
+      const std::span<const int64_t> matches = index.Matches(group[i]);
       if (matches.empty()) continue;
       const Value* probe_row = probe_base + i * probe_arity;
       if (build_left) {
@@ -430,7 +393,7 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
             cursor[left_arity + c] = probe_row[carry[c]];
           }
           cursor += out_arity;
-          if (++emitted == limit) break;
+          if (++emitted == quota) break;
         }
       } else {
         for (int64_t b : matches) {
@@ -440,16 +403,38 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
             cursor[left_arity + c] = right_row[carry[c]];
           }
           cursor += out_arity;
-          if (++emitted == limit) break;
+          if (++emitted == quota) break;
         }
       }
     }
+    return emitted;
+  };
+
+  // Single-morsel fast path: the per-morsel bookkeeping (counts,
+  // offsets, trace shards) exists to stitch independent morsels back
+  // together; with one morsel it is pure overhead. Identical rows, stats
+  // and accounts at any worker count — a one-morsel partition leaves the
+  // scheduler nothing to permute.
+  if (num_morsels == 1) {
+    SpanRecorder mrec(ctx.tracer(), TraceOp::kJoin, ctx.trace_node());
+    if (mrec.enabled()) {
+      mrec.span().rows_in = probe_rows;
+      mrec.span().arity_in = std::max(left_arity, right_arity);
+      mrec.span().arity_out = static_cast<int32_t>(out_arity);
+      mrec.span().morsel_id = 0;
+      mrec.span().batches = 1;
+      mrec.span().ht_build_rows = build.size();
+    }
+    const int64_t limit = ctx.ClampToHeadroom(count_range(0, probe_rows));
+    const int64_t emitted =
+        emit_range(0, probe_rows, limit, out.GrowRows(limit));
     if (limit > 0) ctx.ChargeTuples(limit);
     if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, limit);
     if (mrec.enabled()) {
       mrec.span().rows_out = emitted;
-      mrec.span().bytes = static_cast<int64_t>(scope.bytes_allocated());
-      mrec.span().ht_probe_ops = probe_rows + probes;
+      mrec.span().bytes =
+          static_cast<int64_t>(probe_rows * sizeof(int32_t));
+      mrec.span().ht_probe_ops = probe_rows;
     }
     ctx.stats().NotePeakBytes(
         static_cast<Counter>(shared_scope.bytes_allocated()) +
@@ -458,27 +443,11 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
     return out;
   }
 
-  // Phase A: counting probe per morsel — gather the probe keys
-  // column-wise, pack them row-major, and sum match counts.
+  // Phase A: counting probe per morsel.
   std::vector<int64_t> counts(static_cast<size_t>(num_morsels), 0);
-  std::vector<int64_t> scratch_a(static_cast<size_t>(num_morsels), 0);
-  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
+  mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
     const auto [begin, end] = RangeOf(m, morsel_rows, probe_rows);
-    const int64_t n = end - begin;
-    ExecArena& warena = WorkerArena(mx, ctx, w);
-    ArenaScope scope(warena);
-    ColumnBatch keys(key_width, n, warena);
-    keys.GatherRows(probe_base, probe_arity, begin, n, probe_key);
-    Value* packed =
-        warena.AllocSpan<Value>(std::max<int64_t>(n * key_width, 1)).data();
-    keys.ScatterSelectedTo(packed, key_width);
-    int64_t c = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      c += static_cast<int64_t>(index.Probe(packed + i * key_width).size());
-    }
-    counts[static_cast<size_t>(m)] = c;
-    scratch_a[static_cast<size_t>(m)] =
-        static_cast<int64_t>(scope.bytes_allocated());
+    counts[static_cast<size_t>(m)] = count_range(begin, end);
   });
 
   std::vector<int64_t> offsets(static_cast<size_t>(num_morsels) + 1, 0);
@@ -487,24 +456,19 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
         offsets[static_cast<size_t>(m)] + counts[static_cast<size_t>(m)];
   }
   const int64_t total = offsets[static_cast<size_t>(num_morsels)];
-  const int64_t limit = ClampToHeadroom(total, ctx);
+  const int64_t limit = ctx.ClampToHeadroom(total);
 
   Value* out_base = out.GrowRows(limit);
-  std::vector<int64_t> scratch_b(static_cast<size_t>(num_morsels), 0);
   MorselTraceShards shards(ctx.tracer(), num_morsels);
 
-  // Phase B: re-probe and materialize into the morsel's disjoint range.
-  // Emit order within a morsel is probe-row order then build-row order —
-  // the sequential kernel's order — so the concatenation is identical.
-  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
+  // Phase B: materialize each morsel into its disjoint output range.
+  mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
     const int64_t off = std::min(offsets[static_cast<size_t>(m)], limit);
     const int64_t quota =
         std::min(offsets[static_cast<size_t>(m) + 1], limit) - off;
     if (quota <= 0) return;
     const auto [begin, end] = RangeOf(m, morsel_rows, probe_rows);
     const int64_t n = end - begin;
-    ExecArena& warena = WorkerArena(mx, ctx, w);
-    ArenaScope scope(warena);
     SpanRecorder mrec(shards.shard(m), TraceOp::kJoin, ctx.trace_node());
     if (mrec.enabled()) {
       mrec.span().rows_in = n;
@@ -513,48 +477,12 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
       mrec.span().morsel_id = static_cast<int32_t>(m);
       mrec.span().batches = 1;
     }
-    ColumnBatch keys(key_width, n, warena);
-    keys.GatherRows(probe_base, probe_arity, begin, n, probe_key);
-    Value* packed =
-        warena.AllocSpan<Value>(std::max<int64_t>(n * key_width, 1)).data();
-    keys.ScatterSelectedTo(packed, key_width);
-    Value* cursor = out_base + off * out_arity;
-    int64_t emitted = 0;
-    int64_t probes = 0;
-    for (int64_t i = 0; i < n && emitted < quota; ++i) {
-      const std::span<const int64_t> matches =
-          index.Probe(packed + i * key_width);
-      ++probes;
-      if (matches.empty()) continue;
-      const Value* probe_row = probe_base + (begin + i) * probe_arity;
-      if (build_left) {
-        for (int64_t b : matches) {
-          const Value* left_row = left_base + b * left_arity;
-          for (int c = 0; c < left_arity; ++c) cursor[c] = left_row[c];
-          for (int c = 0; c < num_carry; ++c) {
-            cursor[left_arity + c] = probe_row[carry[c]];
-          }
-          cursor += out_arity;
-          if (++emitted == quota) break;
-        }
-      } else {
-        for (int64_t b : matches) {
-          const Value* right_row = right_base + b * right_arity;
-          for (int c = 0; c < left_arity; ++c) cursor[c] = probe_row[c];
-          for (int c = 0; c < num_carry; ++c) {
-            cursor[left_arity + c] = right_row[carry[c]];
-          }
-          cursor += out_arity;
-          if (++emitted == quota) break;
-        }
-      }
-    }
-    scratch_b[static_cast<size_t>(m)] =
-        static_cast<int64_t>(scope.bytes_allocated());
+    const int64_t emitted =
+        emit_range(begin, end, quota, out_base + off * out_arity);
     if (mrec.enabled()) {
       mrec.span().rows_out = emitted;
-      mrec.span().bytes = scratch_b[static_cast<size_t>(m)];
-      mrec.span().ht_probe_ops = n + probes;
+      mrec.span().bytes = static_cast<int64_t>(n * sizeof(int32_t));
+      mrec.span().ht_probe_ops = n;
     }
   });
 
@@ -562,13 +490,8 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
   shards.MergeInOrder();
   FillAccounts(morsel_rows_out, offsets, limit);
 
-  Counter footprint =
-      static_cast<Counter>(shared_scope.bytes_allocated()) + out.byte_size();
-  for (int64_t m = 0; m < num_morsels; ++m) {
-    footprint += std::max(scratch_a[static_cast<size_t>(m)],
-                          scratch_b[static_cast<size_t>(m)]);
-  }
-  ctx.stats().NotePeakBytes(footprint);
+  ctx.stats().NotePeakBytes(
+      static_cast<Counter>(shared_scope.bytes_allocated()) + out.byte_size());
   ctx.stats().NoteIntermediate(out.arity(), out.size());
   return out;
 }
@@ -612,8 +535,8 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
 
   // Single-morsel fast path: one morsel means the morsel-local index IS
   // the global dedup — the merge pass would re-hash every distinct key
-  // into a second index just to recover an order it already has. Build
-  // one index over the packed keys and append survivors directly.
+  // into a second index just to recover an order it already has. Dedup
+  // straight into the output instead, as the row kernel does.
   if (num_morsels == 1) {
     ArenaScope scope(ctx.arena());
     SpanRecorder mrec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
@@ -630,22 +553,20 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
     // so the morsel is deduplicated in one pass with no gather copy
     // (a project reads each input value exactly once either way; the
     // materialized batch would only double the traffic).
-    const Value** col_ptrs =
-        ctx.arena().AllocSpan<const Value*>(key_width).data();
-    for (int c = 0; c < key_width; ++c) col_ptrs[c] = base + cols[c];
-    FlatKeyIndex seen(in_rows, key_width, ctx.arena());
-    out.Reserve(CappedReserveRows(static_cast<double>(in_rows), ctx));
+    const Value* const* col_ptrs = KeyColumns(input, spec.cols, ctx.arena());
+    // The output rows are the key store (see ProjectColumns).
+    const int64_t reserve_rows = ctx.ClampToHeadroom(in_rows);
+    FlatKeyIndex seen(reserve_rows, key_width, ctx.arena(),
+                      out.GrowRows(reserve_rows));
+    const Counter reserved_bytes = out.byte_size();
     int64_t probed = 0;
     for (int64_t i = 0; i < in_rows && !ctx.exhausted(); ++i) {
       bool inserted;
-      const int64_t id =
-          seen.InsertOrFindCols(col_ptrs, i * in_arity, &inserted);
+      seen.InsertOrFindCols(col_ptrs, i * in_arity, &inserted);
       ++probed;
-      if (inserted) {
-        out.AppendRaw(seen.key_data() + id * key_width);
-        if (!ctx.ChargeTuples(1)) break;
-      }
+      if (inserted && !ctx.ChargeTuples(1)) break;
     }
+    out.TruncateRows(seen.num_keys());
     if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
     if (mrec.enabled()) {
       mrec.span().rows_out = out.size();
@@ -654,7 +575,7 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
       mrec.span().bytes = static_cast<int64_t>(scope.bytes_allocated());
     }
     ctx.stats().NotePeakBytes(
-        static_cast<Counter>(scope.bytes_allocated()) + out.byte_size());
+        static_cast<Counter>(scope.bytes_allocated()) + reserved_bytes);
     ctx.stats().NoteIntermediate(out.arity(), out.size());
     return out;
   }
@@ -718,35 +639,34 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
 
   // Merge in morsel-index order: concatenating the morsel-local
   // first-occurrence orders and deduplicating sequentially reproduces
-  // the row kernel's global first-occurrence order exactly.
+  // the row kernel's global first-occurrence order exactly. The output
+  // rows are the merge index's key store (see ProjectColumns).
   ArenaScope merge_scope(ctx.arena());
-  FlatKeyIndex seen(sum_local, key_width, ctx.arena());
-  out.Reserve(CappedReserveRows(static_cast<double>(sum_local), ctx));
+  const int64_t reserve_rows = ctx.ClampToHeadroom(sum_local);
+  FlatKeyIndex seen(reserve_rows, key_width, ctx.arena(),
+                    out.GrowRows(reserve_rows));
+  const Counter reserved_bytes = out.byte_size();
   if (morsel_rows_out != nullptr) {
     morsel_rows_out->assign(static_cast<size_t>(num_morsels), 0);
   }
-  bool stop = false;
-  for (int64_t m = 0; m < num_morsels && !stop; ++m) {
+  for (int64_t m = 0; m < num_morsels && !ctx.exhausted(); ++m) {
     const Value* kd = locals[static_cast<size_t>(m)]->key_data();
     const int64_t n = local_counts[static_cast<size_t>(m)];
-    for (int64_t r = 0; r < n; ++r) {
+    const int64_t before = seen.num_keys();
+    for (int64_t r = 0; r < n && !ctx.exhausted(); ++r) {
       bool inserted;
       seen.InsertOrFind(kd + r * key_width, &inserted);
-      if (!inserted) continue;
-      out.AppendRaw(kd + r * key_width);
-      if (morsel_rows_out != nullptr) {
-        (*morsel_rows_out)[static_cast<size_t>(m)]++;
-      }
-      if (!ctx.ChargeTuples(1)) {
-        stop = true;
-        break;
-      }
+      if (inserted) ctx.ChargeTuples(1);
+    }
+    if (morsel_rows_out != nullptr) {
+      (*morsel_rows_out)[static_cast<size_t>(m)] = seen.num_keys() - before;
     }
   }
+  out.TruncateRows(seen.num_keys());
   shards.MergeInOrder();
 
   Counter footprint =
-      static_cast<Counter>(merge_scope.bytes_allocated()) + out.byte_size();
+      static_cast<Counter>(merge_scope.bytes_allocated()) + reserved_bytes;
   for (int64_t m = 0; m < num_morsels; ++m) {
     footprint +=
         scratch_a[static_cast<size_t>(m)] +
@@ -783,24 +703,20 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
   ArenaScope shared_scope(ctx.arena());
   const int key_width = static_cast<int>(spec.right_key_cols.size());
   FlatKeyIndex keys(right.size(), key_width, ctx.arena());
-  {
-    Value* key = ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
-    const int right_arity = right.arity();
-    const int64_t right_rows = right.size();
-    const Value* right_base = right.data();
-    const int* right_key = spec.right_key_cols.data();
-    for (int64_t i = 0; i < right_rows; ++i) {
-      const Value* row = right_base + i * right_arity;
-      for (int c = 0; c < key_width; ++c) key[c] = row[right_key[c]];
-      bool inserted;
-      keys.InsertOrFind(key, &inserted);
-    }
+  // Keys are hashed and compared in place, through strided views.
+  const Value* const* right_cols =
+      KeyColumns(right, spec.right_key_cols, ctx.arena());
+  const Value* const* left_cols =
+      KeyColumns(left, spec.left_key_cols, ctx.arena());
+  const int right_arity = right.arity();
+  for (int64_t i = 0; i < right.size(); ++i) {
+    bool inserted;
+    keys.InsertOrFindCols(right_cols, i * right_arity, &inserted);
   }
 
   const int left_arity = left.arity();
   const int64_t left_rows = left.size();
   const Value* left_base = left.data();
-  const int* left_key = spec.left_key_cols.data();
 
   const int64_t morsel_rows = mx.effective_morsel_rows();
   const int64_t num_morsels = mx.NumMorsels(left_rows);
@@ -811,8 +727,7 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
   std::vector<ExecArena> sel_arenas(static_cast<size_t>(num_morsels));
   std::vector<const int32_t*> sels(static_cast<size_t>(num_morsels), nullptr);
   std::vector<int64_t> counts(static_cast<size_t>(num_morsels), 0);
-  std::vector<int64_t> scratch_a(static_cast<size_t>(num_morsels), 0);
-  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
+  mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
     const auto [begin, end] = RangeOf(m, morsel_rows, left_rows);
     const int64_t n = end - begin;
     if (no_common) {
@@ -821,25 +736,16 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
       counts[static_cast<size_t>(m)] = n;
       return;
     }
-    ExecArena& warena = WorkerArena(mx, ctx, w);
-    ArenaScope scope(warena);
-    ColumnBatch keysb(key_width, n, warena);
-    keysb.GatherRows(left_base, left_arity, begin, n, left_key);
-    Value* packed =
-        warena.AllocSpan<Value>(std::max<int64_t>(n * key_width, 1)).data();
-    keysb.ScatterSelectedTo(packed, key_width);
     int32_t* sel =
         sel_arenas[static_cast<size_t>(m)].AllocSpan<int32_t>(n).data();
     int64_t kept = 0;
     for (int64_t i = 0; i < n; ++i) {
-      if (keys.Find(packed + i * key_width) >= 0) {
+      if (keys.FindCols(left_cols, (begin + i) * left_arity) >= 0) {
         sel[kept++] = static_cast<int32_t>(i);
       }
     }
     counts[static_cast<size_t>(m)] = kept;
     sels[static_cast<size_t>(m)] = sel;
-    scratch_a[static_cast<size_t>(m)] =
-        static_cast<int64_t>(scope.bytes_allocated());
   });
 
   std::vector<int64_t> offsets(static_cast<size_t>(num_morsels) + 1, 0);
@@ -848,7 +754,7 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
         offsets[static_cast<size_t>(m)] + counts[static_cast<size_t>(m)];
   }
   const int64_t total = offsets[static_cast<size_t>(num_morsels)];
-  const int64_t limit = ClampToHeadroom(total, ctx);
+  const int64_t limit = ctx.ClampToHeadroom(total);
 
   Value* out_base = out.GrowRows(limit);
   MorselTraceShards shards(ctx.tracer(), num_morsels);
@@ -868,7 +774,8 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
       mrec.span().morsel_id = static_cast<int32_t>(m);
       mrec.span().batches = 1;
       mrec.span().ht_probe_ops = no_common ? 0 : end - begin;
-      mrec.span().bytes = scratch_a[static_cast<size_t>(m)];
+      mrec.span().bytes = static_cast<int64_t>(
+          sel_arenas[static_cast<size_t>(m)].bytes_in_use());
     }
     Value* cursor = out_base + off * left_arity;
     if (no_common) {
@@ -891,10 +798,8 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
 
   Counter footprint =
       static_cast<Counter>(shared_scope.bytes_allocated()) + out.byte_size();
-  for (int64_t m = 0; m < num_morsels; ++m) {
-    footprint +=
-        scratch_a[static_cast<size_t>(m)] +
-        static_cast<Counter>(sel_arenas[static_cast<size_t>(m)].bytes_in_use());
+  for (const ExecArena& sel_arena : sel_arenas) {
+    footprint += static_cast<Counter>(sel_arena.bytes_in_use());
   }
   ctx.stats().NotePeakBytes(footprint);
   ctx.stats().NoteIntermediate(out.arity(), out.size());

@@ -15,10 +15,11 @@ namespace ppr {
 
 /// Columnar, morsel-driven variants of the four operator kernels
 /// (relational/ops.h). Each kernel partitions its probe/input side into
-/// fixed-size morsels, runs the per-morsel work through a ColumnBatch
-/// (column_batch.h) — gather, filter via selection vector, scatter — and
-/// materializes every morsel into a precomputed disjoint slice of the
-/// output.
+/// fixed-size morsels and materializes every morsel into a precomputed
+/// disjoint slice of the output. The scan runs its morsels through a
+/// ColumnBatch (column_batch.h) — gather, filter via selection vector,
+/// scatter; the hash kernels read their keys in place through strided
+/// column views of the input rows (FlatKeyIndex::InsertOrFindCols).
 ///
 /// Determinism contract (the property tests and the morsel driver rely
 /// on it): for the same inputs, spec, and morsel size, the output
@@ -94,7 +95,8 @@ Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
 
 /// Columnar hash-join kernel: shared build-side index constructed once on
 /// the calling thread, probe side partitioned into morsels (two-phase:
-/// counting probe, then materialization into exact disjoint ranges).
+/// a counting probe that keeps each probe row's group id, then
+/// materialization from the kept ids into exact disjoint ranges).
 /// Oracle-equal to HashJoin (see ScanAtomColumnar).
 Relation HashJoinColumnar(const Relation& left, const Relation& right,
                           const JoinSpec& spec, ExecContext& ctx,

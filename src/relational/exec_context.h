@@ -118,6 +118,19 @@ class ExecContext {
     return std::max<Counter>(0, tuple_budget_ - stats_.tuples_produced) + 1;
   }
 
+  /// min(rows, budget_headroom()): the most rows of a `rows`-row result
+  /// a kernel can still emit. It is also the row a sequential kernel
+  /// stops at — it emits headroom rows before the charge latches
+  /// exhausted() — and ChargeTuples(ClampToHeadroom(total)) latches iff
+  /// total >= headroom, so kernels that size their output upfront
+  /// truncate at the same row.
+  int64_t ClampToHeadroom(int64_t rows) const {
+    const Counter headroom = budget_headroom();
+    return static_cast<Counter>(rows) > headroom
+               ? static_cast<int64_t>(headroom)
+               : rows;
+  }
+
   /// Charges `n` produced tuples against the budget. Returns false (and
   /// latches exhausted()) when the budget is exceeded.
   bool ChargeTuples(Counter n) {

@@ -15,108 +15,91 @@ namespace ppr {
 
 /// Flat open-addressing hash table over fixed-width keys.
 ///
-/// Keys are rows of `key_width` values packed contiguously into an
-/// arena-backed store sized for the caller's upper bound on distinct
-/// keys (operators know it exactly: a key per input row at most). The
-/// slot array holds key ids (-1 = empty), is probed linearly, and starts
-/// small, doubling when load exceeds ~0.7 — distinct counts are usually
-/// far below the upper bound, and a rehash only re-seats ids (keys are
-/// never copied). No per-key heap allocation — the replacement for the
+/// Keys are rows of `key_width` values packed contiguously into a key
+/// store sized for the caller's upper bound on distinct keys (operators
+/// know it exactly: a key per input row at most). The store is either
+/// arena scratch or a buffer the caller passes in — a projection hands
+/// over its output rows, so the distinct keys in first-insertion order
+/// are written once, straight into the result.
+///
+/// Each slot packs the high 32 bits of the key's hash (its tag) with its
+/// 32-bit key id; the home slot is taken from the tag's low bits. A probe
+/// reads a stored key only when the tags match, and a grow re-seats the
+/// slots from their tags alone — no key is re-hashed or touched. Slots
+/// are probed linearly, and the array starts at 16 to 2048 slots and
+/// doubles when load exceeds 2/3: distinct counts are usually far below
+/// the upper bound. No per-key heap allocation — the replacement for the
 /// seed's unordered_{map,set}<std::vector<Value>>.
 class FlatKeyIndex {
  public:
-  /// Accepts up to `max_keys` distinct keys of `key_width` values each;
-  /// all storage comes from `arena`, which must outlive the index.
-  FlatKeyIndex(int64_t max_keys, int key_width, ExecArena& arena)
-      : arena_(&arena), width_(key_width) {
+  /// Accepts up to `max_keys` distinct keys of `key_width` values each.
+  /// Keys are stored in `key_store` (max_keys * key_width values, owned
+  /// by the caller) or, when it is null, in `arena`; slots always come
+  /// from `arena`. Both must outlive the index.
+  FlatKeyIndex(int64_t max_keys, int key_width, ExecArena& arena,
+               Value* key_store = nullptr)
+      : arena_(&arena), width_(key_width), keys_(key_store),
+        max_keys_(max_keys) {
     PPR_DCHECK(max_keys >= 0 && key_width >= 0);
-    // Next power of two keeping load factor under ~0.7, but never more
+    // Next power of two keeping load factor under 2/3, but never more
     // than 2048 slots upfront: the common case holds far fewer distinct
     // keys than max_keys, and doubling from a small table costs less
     // than clearing a huge one.
     const int64_t hinted = std::min<int64_t>(max_keys, 1024);
     int64_t capacity = 16;
     while (capacity * 2 < hinted * 3) capacity <<= 1;
-    mask_ = static_cast<uint64_t>(capacity - 1);
-    grow_at_ = capacity * 2 / 3;
-    slots_ = arena.AllocSpan<int64_t>(capacity);
-    std::fill(slots_.begin(), slots_.end(), int64_t{-1});
-    keys_ = arena.AllocSpan<Value>(max_keys * key_width);
+    AllocSlots(capacity);
+    if (keys_ == nullptr) {
+      keys_ = arena.AllocSpan<Value>(max_keys * key_width).data();
+    }
   }
 
   /// Returns the id of `key` (dense, in first-insertion order), inserting
   /// it when new; `*inserted` reports whether this call created it.
   int64_t InsertOrFind(const Value* key, bool* inserted) {
-    if (num_keys_ >= grow_at_) Grow();
-    uint64_t slot = HashPackedKey(key, width_) & mask_;
-    while (true) {
-      const int64_t id = slots_[slot];
-      if (id < 0) {
-        const int64_t fresh = num_keys_++;
-        PPR_DCHECK(static_cast<size_t>(fresh * width_) <= keys_.size());
-        slots_[slot] = fresh;
-        std::copy(key, key + width_, keys_.data() + fresh * width_);
-        *inserted = true;
-        return fresh;
-      }
-      if (std::equal(key, key + width_, keys_.data() + id * width_)) {
-        *inserted = false;
-        return id;
-      }
-      slot = (slot + 1) & mask_;
-    }
+    return Insert(
+        HashPackedKey(key, width_),
+        [&](const Value* stored) {
+          return std::equal(key, key + width_, stored);
+        },
+        [&](Value* dst) { std::copy(key, key + width_, dst); }, inserted);
   }
 
   /// Column-major InsertOrFind: the key of row `row` is
-  /// (cols[0][row], ..., cols[width-1][row]). Equivalent to packing the
-  /// row into a scratch buffer and calling InsertOrFind, minus the pack:
-  /// the columnar projection kernel feeds ColumnBatch columns straight
-  /// in, so a morsel is hashed in one pass over the gathered columns
-  /// instead of a gather + row-major scatter round trip. The key store
-  /// stays row-major (keys_ layout is unchanged), so key_data() readers
-  /// and the row-major InsertOrFind interoperate with ids from here.
+  /// (cols[0][row], ..., cols[width-1][row]). The columns may be strided
+  /// views into a row-major relation (see KeyColumns), so kernels hash
+  /// input rows in place with no gather. The key store stays row-major,
+  /// so key_data() readers and the row-major InsertOrFind interoperate
+  /// with ids from here.
   int64_t InsertOrFindCols(const Value* const* cols, int64_t row,
                            bool* inserted) {
-    if (num_keys_ >= grow_at_) Grow();
-    uint64_t slot = HashColsKey(cols, row, width_) & mask_;
-    while (true) {
-      const int64_t id = slots_[slot];
-      if (id < 0) {
-        const int64_t fresh = num_keys_++;
-        PPR_DCHECK(static_cast<size_t>(fresh * width_) <= keys_.size());
-        slots_[slot] = fresh;
-        Value* dst = keys_.data() + fresh * width_;
-        for (int c = 0; c < width_; ++c) dst[c] = cols[c][row];
-        *inserted = true;
-        return fresh;
-      }
-      const Value* stored = keys_.data() + id * width_;
-      bool equal = true;
-      for (int c = 0; c < width_; ++c) {
-        if (stored[c] != cols[c][row]) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) {
-        *inserted = false;
-        return id;
-      }
-      slot = (slot + 1) & mask_;
-    }
+    return Insert(
+        HashColsKey(cols, row, width_),
+        [&](const Value* stored) { return EqualCols(stored, cols, row); },
+        [&](Value* dst) {
+          for (int c = 0; c < width_; ++c) dst[c] = cols[c][row];
+        },
+        inserted);
   }
 
   /// Returns the id of `key`, or -1 when absent.
   int64_t Find(const Value* key) const {
-    uint64_t slot = HashPackedKey(key, width_) & mask_;
-    while (true) {
-      const int64_t id = slots_[slot];
-      if (id < 0) return -1;
-      if (std::equal(key, key + width_, keys_.data() + id * width_)) {
-        return id;
-      }
-      slot = (slot + 1) & mask_;
-    }
+    uint64_t empty;
+    return Lookup(
+        HashPackedKey(key, width_),
+        [&](const Value* stored) {
+          return std::equal(key, key + width_, stored);
+        },
+        &empty);
+  }
+
+  /// Column-major Find (see InsertOrFindCols).
+  int64_t FindCols(const Value* const* cols, int64_t row) const {
+    uint64_t empty;
+    return Lookup(
+        HashColsKey(cols, row, width_),
+        [&](const Value* stored) { return EqualCols(stored, cols, row); },
+        &empty);
   }
 
   int64_t num_keys() const { return num_keys_; }
@@ -127,22 +110,81 @@ class FlatKeyIndex {
   /// morsel-local index's keys straight out of here — morsel-local
   /// distinct keys in first-occurrence order — so the global merge can
   /// reproduce the sequential kernel's emit order exactly.
-  const Value* key_data() const { return keys_.data(); }
+  const Value* key_data() const { return keys_; }
 
  private:
-  // Doubles the slot array and re-seats existing ids from the packed key
-  // store. The old slot array stays behind in the arena until the
-  // enclosing scope releases it (bounded by 2x the final table size).
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+  // Ids live in the low 32 bits of a slot; the all-ones id marks an
+  // empty slot, so ids stay below 2^31 with room to spare.
+  static constexpr int64_t kMaxKeys = int64_t{1} << 31;
+
+  void AllocSlots(int64_t capacity) {
+    mask_ = static_cast<uint64_t>(capacity - 1);
+    grow_at_ = capacity * 2 / 3;
+    slots_ = arena_->AllocSpan<uint64_t>(capacity);
+    std::fill(slots_.begin(), slots_.end(), kEmpty);
+  }
+
+  bool EqualCols(const Value* stored, const Value* const* cols,
+                 int64_t row) const {
+    for (int c = 0; c < width_; ++c) {
+      if (stored[c] != cols[c][row]) return false;
+    }
+    return true;
+  }
+
+  // Probes for the key hashing to `hash`; `eq` compares it with a stored
+  // key. Returns its id, or -1 with *empty_slot set to the free slot that
+  // ended the probe sequence.
+  template <typename Eq>
+  int64_t Lookup(uint64_t hash, Eq eq, uint64_t* empty_slot) const {
+    const uint64_t tag = hash >> 32;
+    uint64_t slot = tag & mask_;
+    while (true) {
+      const uint64_t s = slots_[slot];
+      if (s == kEmpty) {
+        *empty_slot = slot;
+        return -1;
+      }
+      if ((s >> 32) == tag) {
+        const auto id = static_cast<int64_t>(s & 0xFFFFFFFFULL);
+        if (eq(keys_ + id * width_)) return id;
+      }
+      slot = (slot + 1) & mask_;
+    }
+  }
+
+  template <typename Eq, typename Store>
+  int64_t Insert(uint64_t hash, Eq eq, Store store, bool* inserted) {
+    if (num_keys_ >= grow_at_) Grow();
+    uint64_t slot;
+    const int64_t id = Lookup(hash, eq, &slot);
+    if (id >= 0) {
+      *inserted = false;
+      return id;
+    }
+    const int64_t fresh = num_keys_++;
+    PPR_CHECK(fresh < kMaxKeys);
+    PPR_DCHECK(fresh < max_keys_);
+    slots_[slot] =
+        (hash & 0xFFFFFFFF00000000ULL) | static_cast<uint64_t>(fresh);
+    store(keys_ + fresh * width_);
+    *inserted = true;
+    return fresh;
+  }
+
+  // Doubles the slot array and re-seats every slot at the home its tag
+  // names in the larger table. The old slot array stays behind in the
+  // arena until the enclosing scope releases it (bounded by 2x the final
+  // table size).
   void Grow() {
-    const int64_t new_cap = static_cast<int64_t>(mask_ + 1) * 2;
-    mask_ = static_cast<uint64_t>(new_cap - 1);
-    grow_at_ = new_cap * 2 / 3;
-    slots_ = arena_->AllocSpan<int64_t>(new_cap);
-    std::fill(slots_.begin(), slots_.end(), int64_t{-1});
-    for (int64_t id = 0; id < num_keys_; ++id) {
-      uint64_t slot = HashPackedKey(keys_.data() + id * width_, width_) & mask_;
-      while (slots_[slot] >= 0) slot = (slot + 1) & mask_;
-      slots_[slot] = id;
+    const std::span<const uint64_t> old = slots_;
+    AllocSlots(static_cast<int64_t>(old.size()) * 2);
+    for (const uint64_t s : old) {
+      if (s == kEmpty) continue;
+      uint64_t slot = (s >> 32) & mask_;
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask_;
+      slots_[slot] = s;
     }
   }
 
@@ -150,15 +192,34 @@ class FlatKeyIndex {
   int width_;
   uint64_t mask_ = 0;
   int64_t grow_at_ = 0;
-  std::span<int64_t> slots_;
-  std::span<Value> keys_;
+  std::span<uint64_t> slots_;
+  Value* keys_;
+  int64_t max_keys_;
   int64_t num_keys_ = 0;
 };
 
+/// Strided views of `rel`'s columns `key_cols` for the column-major
+/// FlatKeyIndex entry points: view c is column key_cols[c], and row i of
+/// `rel` is index i * rel.arity(). The views come from `arena`.
+inline const Value** KeyColumns(const Relation& rel,
+                                std::span<const int> key_cols,
+                                ExecArena& arena) {
+  const Value** cols =
+      arena.AllocSpan<const Value*>(static_cast<int64_t>(key_cols.size()))
+          .data();
+  for (size_t c = 0; c < key_cols.size(); ++c) {
+    cols[c] = rel.data() + key_cols[c];
+  }
+  return cols;
+}
+
 /// Hash index over the build side of a join: a FlatKeyIndex over the key
-/// columns plus a CSR layout grouping build-row ids by key, so probing
-/// yields each key's matches as a contiguous span in build-row order
-/// (the same emit order as the seed interpreter's bucket vectors).
+/// columns plus a CSR layout grouping build-row ids by key. A probe is
+/// split in two so a kernel hashes each probe row once: FindGroup maps a
+/// key to its group id, and Matches yields that group's build rows as a
+/// contiguous span in build-row order (the same emit order as the seed
+/// interpreter's bucket vectors). A counting pass keeps the group ids and
+/// the emit pass reads matches from them without hashing again.
 class JoinIndex {
  public:
   /// Indexes `build` on `key_cols`; scratch comes from `arena` and stays
@@ -167,18 +228,13 @@ class JoinIndex {
             ExecArena& arena)
       : index_(build.size(), static_cast<int>(key_cols.size()), arena) {
     const int64_t n = build.size();
-    const int k = static_cast<int>(key_cols.size());
     const int arity = build.arity();
-    const Value* base = build.data();
 
+    const Value* const* cols = KeyColumns(build, key_cols, arena);
     std::span<int64_t> group_of = arena.AllocSpan<int64_t>(n);
-    Value* key = arena.AllocSpan<Value>(std::max(k, 1)).data();
-    const int* kc = key_cols.data();
     for (int64_t i = 0; i < n; ++i) {
-      const Value* row = base + i * arity;
-      for (int c = 0; c < k; ++c) key[c] = row[kc[c]];
       bool inserted;
-      group_of[i] = index_.InsertOrFind(key, &inserted);
+      group_of[i] = index_.InsertOrFindCols(cols, i * arity, &inserted);
     }
 
     const int64_t groups = index_.num_keys();
@@ -196,12 +252,17 @@ class JoinIndex {
     }
   }
 
-  /// Build-row ids matching `key`, ascending; empty span when none.
-  std::span<const int64_t> Probe(const Value* key) const {
-    const int64_t g = index_.Find(key);
-    if (g < 0) return {};
-    return {rows_.data() + offsets_[g],
-            static_cast<size_t>(offsets_[g + 1] - offsets_[g])};
+  /// Group id of the key (cols[0][row], ..., cols[k-1][row]) — column
+  /// views as KeyColumns makes them — or -1 when no build row has it.
+  int64_t FindGroup(const Value* const* cols, int64_t row) const {
+    return index_.FindCols(cols, row);
+  }
+
+  /// Build-row ids of group `group`, ascending; empty span for -1.
+  std::span<const int64_t> Matches(int64_t group) const {
+    if (group < 0) return {};
+    return {rows_.data() + offsets_[group],
+            static_cast<size_t>(offsets_[group + 1] - offsets_[group])};
   }
 
  private:

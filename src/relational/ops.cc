@@ -11,10 +11,11 @@
 namespace ppr {
 namespace {
 
-// Output vectors are reserved upfront (build x probe for joins, input
-// size elsewhere), clamped by the remaining tuple budget and by a fixed
-// cap so a pessimistic estimate can never balloon the reservation past
-// what a truncated run could actually emit.
+// Scan and semijoin outputs are reserved upfront at their input size,
+// clamped by the remaining tuple budget and by a fixed cap so a
+// pessimistic estimate can never balloon the reservation past what a
+// truncated run could actually emit. Joins reserve their exact output
+// size, and projections the exact key store they dedup into.
 constexpr int64_t kMaxReserveRows = int64_t{1} << 21;
 
 int64_t CappedReserveRows(double estimated_rows, ExecContext& ctx) {
@@ -134,7 +135,6 @@ Relation HashJoin(const Relation& left, const Relation& right,
 
   const JoinIndex index(build, build_key_cols, ctx.arena());
 
-  const int key_width = static_cast<int>(spec.left_key_cols.size());
   const int left_arity = left.arity();
   const int right_arity = right.arity();
   const int out_arity = out.arity();
@@ -143,25 +143,24 @@ Relation HashJoin(const Relation& left, const Relation& right,
   const Value* left_base = left.data();
   const Value* right_base = right.data();
   const Value* probe_base = probe.data();
-  const int* probe_key = probe_key_cols.data();
   const int* carry = spec.right_carry_cols.data();
   const int num_carry = static_cast<int>(spec.right_carry_cols.size());
 
-  Value* key =
-      ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
-
-  // Exact output size via a counting probe pass: a hash + find per probe
-  // row costs far less than the emit work it sizes, and an exact
-  // reservation removes both realloc copies and per-emit capacity checks
-  // from the loop below.
+  // Exact output size via a counting probe pass: one hash + find per
+  // probe row, reading the key in place through strided column views.
+  // The pass keeps each row's group id, so the emit pass below reads its
+  // matches without hashing again, and the exact reservation removes
+  // both realloc copies and per-emit capacity checks from that loop.
+  const Value* const* probe_cols =
+      KeyColumns(probe, probe_key_cols, ctx.arena());
+  int32_t* group = ctx.arena().AllocSpan<int32_t>(probe_rows).data();
   int64_t exact_rows = 0;
   for (int64_t p = 0; p < probe_rows; ++p) {
-    const Value* probe_row = probe_base + p * probe_arity;
-    for (int c = 0; c < key_width; ++c) key[c] = probe_row[probe_key[c]];
-    exact_rows += static_cast<int64_t>(index.Probe(key).size());
+    const int64_t g = index.FindGroup(probe_cols, p * probe_arity);
+    group[p] = static_cast<int32_t>(g);
+    exact_rows += static_cast<int64_t>(index.Matches(g).size());
   }
 
-  int64_t emit_probes = 0;
   if (out_arity == 0) {
     // Nullary output (both inputs nullary): at most the one empty tuple.
     for (int64_t p = 0; p < probe_rows && !ctx.exhausted(); ++p) {
@@ -173,18 +172,11 @@ Relation HashJoin(const Relation& left, const Relation& right,
   } else {
     // A truncated run emits at most budget_headroom() rows before the
     // outer loop sees the exhausted latch, so the cursor never overruns.
-    int64_t reserve_rows = exact_rows;
-    const Counter headroom = ctx.budget_headroom();
-    if (static_cast<Counter>(reserve_rows) > headroom) {
-      reserve_rows = static_cast<int64_t>(headroom);
-    }
-    Value* cursor = out.GrowRows(reserve_rows);
+    Value* cursor = out.GrowRows(ctx.ClampToHeadroom(exact_rows));
     int64_t emitted = 0;
-    int64_t p = 0;
-    for (; p < probe_rows && !ctx.exhausted(); ++p) {
+    for (int64_t p = 0; p < probe_rows && !ctx.exhausted(); ++p) {
       const Value* probe_row = probe_base + p * probe_arity;
-      for (int c = 0; c < key_width; ++c) key[c] = probe_row[probe_key[c]];
-      const std::span<const int64_t> matches = index.Probe(key);
+      const std::span<const int64_t> matches = index.Matches(group[p]);
       if (build_left) {
         // Probe side is the right input: its carry columns repeat across
         // every match of this probe row.
@@ -212,7 +204,6 @@ Relation HashJoin(const Relation& left, const Relation& right,
       }
     }
     out.TruncateRows(emitted);
-    emit_probes = p;
   }
 
   const Counter footprint =
@@ -221,7 +212,7 @@ Relation HashJoin(const Relation& left, const Relation& right,
     rec.span().rows_out = out.size();
     rec.span().bytes = footprint;
     rec.span().ht_build_rows = build.size();
-    rec.span().ht_probe_ops = probe_rows + emit_probes;
+    rec.span().ht_probe_ops = probe_rows;
   }
   ctx.stats().NotePeakBytes(footprint);
   ctx.stats().NoteIntermediate(out.arity(), out.size());
@@ -259,29 +250,31 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
 
   ArenaScope scope(ctx.arena());
   const int key_width = static_cast<int>(spec.cols.size());
-  FlatKeyIndex seen(input.size(), key_width, ctx.arena());
-  out.Reserve(CappedReserveRows(static_cast<double>(input.size()), ctx));
-
   const int in_arity = input.arity();
   const int64_t in_rows = input.size();
-  const Value* base = input.data();
-  const int* cols = spec.cols.data();
-  Value* key = ctx.arena().AllocSpan<Value>(key_width).data();
 
+  // The output rows are the index's key store: a truncated run stops
+  // after budget_headroom() distinct keys, so min(input rows, headroom)
+  // rows hold every key the loop can insert. Distinct keys land in
+  // first-occurrence order exactly where the output wants them; the
+  // reserved rows count toward the footprint until the truncate below.
+  const int64_t reserve_rows = ctx.ClampToHeadroom(in_rows);
+  FlatKeyIndex seen(reserve_rows, key_width, ctx.arena(),
+                    out.GrowRows(reserve_rows));
+  const Counter reserved_bytes = out.byte_size();
+
+  // Keys are hashed and compared in place, through strided views.
+  const Value* const* cols = KeyColumns(input, spec.cols, ctx.arena());
   int64_t i = 0;
   for (; i < in_rows && !ctx.exhausted(); ++i) {
-    const Value* row = base + i * in_arity;
-    for (int c = 0; c < key_width; ++c) key[c] = row[cols[c]];
     bool inserted;
-    seen.InsertOrFind(key, &inserted);
-    if (inserted) {
-      out.AppendRaw(key);
-      if (!ctx.ChargeTuples(1)) break;
-    }
+    seen.InsertOrFindCols(cols, i * in_arity, &inserted);
+    if (inserted && !ctx.ChargeTuples(1)) break;
   }
+  out.TruncateRows(seen.num_keys());
 
   const Counter footprint =
-      static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
+      static_cast<Counter>(scope.bytes_allocated()) + reserved_bytes;
   if (rec.enabled()) {
     rec.span().rows_out = out.size();
     rec.span().bytes = footprint;
@@ -314,34 +307,27 @@ Relation SemiJoinFiltered(const Relation& left, const Relation& right,
   ArenaScope scope(ctx.arena());
   const int key_width = static_cast<int>(spec.right_key_cols.size());
   FlatKeyIndex keys(right.size(), key_width, ctx.arena());
-  Value* key = ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
+  // Keys are hashed and compared in place, through strided views.
+  const Value* const* right_cols =
+      KeyColumns(right, spec.right_key_cols, ctx.arena());
+  const Value* const* left_cols =
+      KeyColumns(left, spec.left_key_cols, ctx.arena());
 
   const int right_arity = right.arity();
   const int64_t right_rows = right.size();
-  const Value* right_base = right.data();
-  const int* right_key = spec.right_key_cols.data();
   for (int64_t i = 0; i < right_rows; ++i) {
-    const Value* row = right_base + i * right_arity;
-    for (int c = 0; c < key_width; ++c) key[c] = row[right_key[c]];
     bool inserted;
-    keys.InsertOrFind(key, &inserted);
+    keys.InsertOrFindCols(right_cols, i * right_arity, &inserted);
   }
 
   out.Reserve(CappedReserveRows(static_cast<double>(left.size()), ctx));
   const int left_arity = left.arity();
   const int64_t left_rows = left.size();
   const Value* left_base = left.data();
-  const int* left_key = spec.left_key_cols.data();
   int64_t i = 0;
   for (; i < left_rows && !ctx.exhausted(); ++i) {
-    const Value* row = left_base + i * left_arity;
-    bool match = no_common;
-    if (!match) {
-      for (int c = 0; c < key_width; ++c) key[c] = row[left_key[c]];
-      match = keys.Find(key) >= 0;
-    }
-    if (match) {
-      Emit(out, row, left_arity);
+    if (no_common || keys.FindCols(left_cols, i * left_arity) >= 0) {
+      Emit(out, left_base + i * left_arity, left_arity);
       if (!ctx.ChargeTuples(1)) break;
     }
   }
