@@ -3,6 +3,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
+#include <vector>
+
 #include "common/hash.h"
 #include "common/rng.h"
 #include "core/strategies.h"
@@ -15,6 +18,7 @@
 #include "relational/exec_context.h"
 #include "relational/batch_ops.h"
 #include "relational/ops.h"
+#include "runtime/thread_pool.h"
 
 namespace ppr {
 namespace {
@@ -245,6 +249,43 @@ void BM_HashJoinColumnar(benchmark::State& state) {
   state.SetItemsProcessed(produced);
 }
 BENCHMARK(BM_HashJoinColumnar)->Range(1 << 8, 1 << 14);
+
+// Multi-morsel HashJoinColumnar on 4 pool workers, the shape of
+// morsel_wide's big joins: 512K probe rows in 8 morsels of 64K, ~8M
+// output rows (~96 MB). Sizing the output, faulting its pages in and
+// freeing it are part of each iteration, as they are in a plan walk.
+void BM_HashJoinColumnarMorsels(benchmark::State& state) {
+  constexpr int kWorkers = 4;
+  constexpr int64_t kRows = int64_t{1} << 19;
+  Relation left = RandomRelation({0, 1}, kRows, 1 << 15, 1);
+  Relation right = RandomRelation({1, 2}, kRows, 1 << 15, 2);
+  const JoinSpec spec = PlanJoin(left.schema(), right.schema());
+  ThreadPool pool(kWorkers);
+  std::vector<ExecArena> arenas(kWorkers);
+  MorselExec mx;
+  mx.morsel_rows = int64_t{1} << 16;
+  mx.num_workers = kWorkers;
+  for (ExecArena& arena : arenas) mx.worker_arenas.push_back(&arena);
+  mx.parallel_for = [&pool](int64_t count,
+                            const std::function<void(int64_t, int)>& body) {
+    for (int64_t m = 0; m < count; ++m) {
+      pool.Submit([m, &body](int worker) { body(m, worker); });
+    }
+    pool.Wait();
+  };
+  int64_t produced = 0;
+  int64_t out_bytes = 0;
+  for (auto _ : state) {
+    ExecContext ctx;
+    Relation out = HashJoinColumnar(left, right, spec, ctx, mx);
+    produced += out.size();
+    out_bytes = out.byte_size();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(produced);
+  state.counters["out_mb"] = static_cast<double>(out_bytes) / (1 << 20);
+}
+BENCHMARK(BM_HashJoinColumnarMorsels)->Unit(benchmark::kMillisecond);
 
 void BM_ProjectDistinctColumnar(benchmark::State& state) {
   const int64_t rows = state.range(0);

@@ -22,7 +22,10 @@ bool IsSubset(const std::vector<AttrId>& sub, const std::vector<AttrId>& sup) {
 
 std::vector<AttrId> SortedUnion(
     const std::vector<std::unique_ptr<PlanNode>>& children) {
+  size_t total = 0;
+  for (const auto& child : children) total += child->projected.size();
   std::vector<AttrId> out;
+  out.reserve(total);
   for (const auto& child : children) {
     out.insert(out.end(), child->projected.begin(), child->projected.end());
   }

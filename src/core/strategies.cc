@@ -1,7 +1,6 @@
 #include "core/strategies.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/check.h"
 #include "core/theory.h"
@@ -219,20 +218,33 @@ Plan BucketEliminationPlan(const ConjunctiveQuery& query,
   PPR_CHECK(m > 0);
   const int n = static_cast<int>(numbering.size());
 
-  // position[a] = index of attribute a in the numbering.
-  std::map<AttrId, int> position;
+  // position[a] = index of attribute a in the numbering, -1 if absent.
+  AttrId max_attr = -1;
+  for (AttrId a : numbering) max_attr = std::max(max_attr, a);
+  std::vector<int> position(static_cast<size_t>(max_attr + 1), -1);
   for (int i = 0; i < n; ++i) {
-    const bool inserted =
-        position.emplace(numbering[static_cast<size_t>(i)], i).second;
-    PPR_CHECK(inserted);  // numbering must not repeat attributes
+    const AttrId a = numbering[static_cast<size_t>(i)];
+    PPR_CHECK(a >= 0);
+    // The numbering must not repeat attributes.
+    PPR_CHECK(position[static_cast<size_t>(a)] < 0);
+    position[static_cast<size_t>(a)] = i;
   }
   for (const Atom& atom : query.atoms()) {
-    for (AttrId a : atom.args) PPR_CHECK(position.count(a) > 0);
+    for (AttrId a : atom.args) {
+      PPR_CHECK(a >= 0 && a <= max_attr &&
+                position[static_cast<size_t>(a)] >= 0);
+    }
+  }
+  std::vector<char> is_free(position.size(), 0);
+  for (AttrId a : query.free_vars()) {
+    if (a >= 0 && a <= max_attr) is_free[static_cast<size_t>(a)] = 1;
   }
 
   auto max_position = [&](const std::vector<AttrId>& attrs) {
     int best = -1;
-    for (AttrId a : attrs) best = std::max(best, position.at(a));
+    for (AttrId a : attrs) {
+      best = std::max(best, position[static_cast<size_t>(a)]);
+    }
     return best;
   };
 
@@ -267,7 +279,7 @@ Plan BucketEliminationPlan(const ConjunctiveQuery& query,
 
     std::vector<AttrId> projected;
     for (AttrId a : all_attrs) {
-      if (a != var || IsFree(query, a)) projected.push_back(a);
+      if (a != var || is_free[static_cast<size_t>(a)]) projected.push_back(a);
     }
 
     std::unique_ptr<PlanNode> result;
@@ -281,7 +293,7 @@ Plan BucketEliminationPlan(const ConjunctiveQuery& query,
     // Destination: highest-numbered attribute strictly below this bucket.
     int dest = -1;
     for (AttrId a : result->projected) {
-      const int p = position.at(a);
+      const int p = position[static_cast<size_t>(a)];
       if (p < i) dest = std::max(dest, p);
     }
     if (dest < 0) {

@@ -38,13 +38,15 @@ std::unique_ptr<PhysicalNode> CompileNode(const ConjunctiveQuery& query,
       phys->children.push_back(CompileNode(query, child.get(), db,
                                            next_node_id));
     }
-    working = phys->children.front()->output_schema;
+    // The fold's schema so far; `joins` is reserved, so it stays put.
+    const Schema* folded = &phys->children.front()->output_schema;
     phys->joins.reserve(phys->children.size() - 1);
     for (size_t i = 1; i < phys->children.size(); ++i) {
-      JoinSpec spec = PlanJoin(working, phys->children[i]->output_schema);
-      working = spec.out_schema;
-      phys->joins.push_back(std::move(spec));
+      phys->joins.push_back(
+          PlanJoin(*folded, phys->children[i]->output_schema));
+      folded = &phys->joins.back().out_schema;
     }
+    working = *folded;
   }
   if (node->Projects()) {
     phys->has_project = true;

@@ -85,8 +85,10 @@ std::vector<int> MaxCardinalityNumbering(const Graph& g,
   auto take = [&](int v) {
     numbered[static_cast<size_t>(v)] = 1;
     numbering.push_back(v);
-    for (int u : g.Neighbors(v)) {
-      if (!numbered[static_cast<size_t>(u)]) ++weight[static_cast<size_t>(u)];
+    for (int u = 0; u < n; ++u) {
+      if (g.HasEdge(v, u) && !numbered[static_cast<size_t>(u)]) {
+        ++weight[static_cast<size_t>(u)];
+      }
     }
   };
 
@@ -95,10 +97,11 @@ std::vector<int> MaxCardinalityNumbering(const Graph& g,
     if (!numbered[static_cast<size_t>(v)]) take(v);
   }
 
+  std::vector<int> candidates;
   while (static_cast<int>(numbering.size()) < n) {
     // Collect the unnumbered vertices of maximum weight.
     int best_weight = -1;
-    std::vector<int> candidates;
+    candidates.clear();
     for (int v = 0; v < n; ++v) {
       if (numbered[static_cast<size_t>(v)]) continue;
       const int w = weight[static_cast<size_t>(v)];

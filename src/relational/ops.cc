@@ -53,15 +53,24 @@ inline void Emit(Relation& out, const Value* tuple, int arity) {
 
 JoinSpec PlanJoin(const Schema& left, const Schema& right) {
   JoinSpec spec;
-  const std::vector<AttrId> common = left.CommonAttrs(right);
-  spec.left_key_cols = ColumnIndices(left, common);
-  spec.right_key_cols = ColumnIndices(right, common);
+  // Keys: the shared attributes, in left's column order.
+  for (int l = 0; l < left.arity(); ++l) {
+    const int r = right.IndexOf(left.attr(l));
+    if (r < 0) continue;
+    spec.left_key_cols.push_back(l);
+    spec.right_key_cols.push_back(r);
+  }
 
   // Output schema: all of left's attrs, then right-only attrs.
-  std::vector<AttrId> out_attrs = left.attrs();
-  const std::vector<AttrId> right_only = right.AttrsNotIn(left);
-  out_attrs.insert(out_attrs.end(), right_only.begin(), right_only.end());
-  spec.right_carry_cols = ColumnIndices(right, right_only);
+  std::vector<AttrId> out_attrs;
+  out_attrs.reserve(static_cast<size_t>(left.arity() + right.arity()) -
+                    spec.right_key_cols.size());
+  out_attrs.assign(left.attrs().begin(), left.attrs().end());
+  for (int r = 0; r < right.arity(); ++r) {
+    if (left.Contains(right.attr(r))) continue;
+    spec.right_carry_cols.push_back(r);
+    out_attrs.push_back(right.attr(r));
+  }
   spec.out_schema = Schema(std::move(out_attrs));
   return spec;
 }

@@ -1,10 +1,48 @@
 #include "relational/relation.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 
+#include <sys/mman.h>
+
 namespace ppr {
+
+namespace {
+
+size_t MappedLength(size_t bytes) {
+  return (bytes + kTupleStoreMapBytes - 1) & ~(kTupleStoreMapBytes - 1);
+}
+
+}  // namespace
+
+void* MapTupleStore(size_t bytes) {
+  // mmap only promises page alignment: over-map by one huge page, then
+  // unmap the slack on both sides of the aligned block.
+  const size_t len = MappedLength(bytes);
+  void* raw = mmap(nullptr, len + kTupleStoreMapBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const auto start = reinterpret_cast<uintptr_t>(raw);
+  const uintptr_t aligned =
+      (start + kTupleStoreMapBytes - 1) & ~uintptr_t{kTupleStoreMapBytes - 1};
+  if (aligned > start) munmap(raw, aligned - start);
+  // The tail slack is in (0, kTupleStoreMapBytes]: never empty.
+  munmap(reinterpret_cast<void*>(aligned + len),
+         start + kTupleStoreMapBytes - aligned);
+  void* block = reinterpret_cast<void*>(aligned);
+#ifdef MADV_HUGEPAGE
+  // Advisory: with transparent huge pages off this is a no-op.
+  madvise(block, len, MADV_HUGEPAGE);
+#endif
+  return block;
+}
+
+void UnmapTupleStore(void* p, size_t bytes) noexcept {
+  munmap(p, MappedLength(bytes));
+}
 
 Relation::Relation(Schema schema,
                    std::initializer_list<std::vector<Value>> rows)

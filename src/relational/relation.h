@@ -1,6 +1,10 @@
 #ifndef PPR_RELATIONAL_RELATION_H_
 #define PPR_RELATIONAL_RELATION_H_
 
+#include <algorithm>
+#include <cstddef>
+#include <memory>
+#include <new>  // pprlint: allow(naked-new) -- placement new below
 #include <span>
 #include <string>
 #include <vector>
@@ -10,6 +14,61 @@
 #include "relational/schema.h"
 
 namespace ppr {
+
+/// Tuple stores of at least this many bytes get their own anonymous
+/// mapping, 2 MiB-aligned and advised for transparent huge pages. It is
+/// the x86-64/arm64 huge-page size: one fault and one TLB entry then
+/// cover 512 base pages of an intermediate.
+inline constexpr size_t kTupleStoreMapBytes = size_t{2} << 20;
+
+/// Maps `bytes` (>= kTupleStoreMapBytes) of zero pages, 2 MiB-aligned,
+/// rounded up to a whole number of huge pages; throws std::bad_alloc on
+/// failure.
+void* MapTupleStore(size_t bytes);
+/// Releases a MapTupleStore block of the same `bytes`.
+void UnmapTupleStore(void* p, size_t bytes) noexcept;
+
+/// Allocator of Relation's tuple store. It differs from std::allocator
+/// in two ways. Value-less construction default-initializes, so growing
+/// the store leaves the new values unwritten (the vector's resize does
+/// no zero-fill). And blocks of kTupleStoreMapBytes or more come from
+/// MapTupleStore, so large intermediates are faulted in huge pages by
+/// whichever thread first writes them and unmapped whole when freed.
+template <typename T>
+class TupleStoreAllocator {
+ public:
+  using value_type = T;
+
+  TupleStoreAllocator() = default;
+  template <typename U>
+  TupleStoreAllocator(const TupleStoreAllocator<U>& /*other*/) noexcept {}
+
+  T* allocate(size_t n) {
+    if (n * sizeof(T) >= kTupleStoreMapBytes) {
+      return static_cast<T*>(MapTupleStore(n * sizeof(T)));
+    }
+    return std::allocator<T>().allocate(n);
+  }
+  void deallocate(T* p, size_t n) noexcept {
+    if (n * sizeof(T) >= kTupleStoreMapBytes) {
+      UnmapTupleStore(p, n * sizeof(T));
+    } else {
+      std::allocator<T>().deallocate(p, n);
+    }
+  }
+
+  /// Value-less construction default-initializes (no zero-fill);
+  /// construction from a value falls through to std::construct_at.
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;  // pprlint: allow(naked-new)
+  }
+
+  friend bool operator==(const TupleStoreAllocator&,
+                         const TupleStoreAllocator&) {
+    return true;
+  }
+};
 
 /// An in-memory relation: a schema plus a row-major flat tuple store.
 ///
@@ -65,24 +124,36 @@ class Relation {
   /// Raw row-major tuple storage (size() * arity() values).
   const Value* data() const { return data_.data(); }
 
-  /// Appends `rows` zero-initialized tuples and returns a mutable pointer
-  /// to the first of them, for operators that know their output size and
-  /// fill rows through a raw cursor. Invalid for nullary relations.
+  /// Appends `rows` tuples with unwritten values and returns a mutable
+  /// pointer to the first, for operators that know their output size and
+  /// fill rows through a raw cursor. The caller writes every row it keeps
+  /// and truncates the rest away. Nothing is zero-filled, so morsel
+  /// workers first-touch their own output slices; builds with DCHECKs
+  /// fill new rows with kUnwrittenValue instead, so a row left unwritten
+  /// changes answers there. Invalid for nullary relations.
   Value* GrowRows(int64_t rows) {
     PPR_DCHECK(arity() > 0 && rows >= 0);
     const size_t old = data_.size();
     data_.resize(old + static_cast<size_t>(rows * arity()));
+#ifndef NDEBUG
+    std::fill(data_.begin() + static_cast<std::ptrdiff_t>(old), data_.end(),
+              kUnwrittenValue);
+#endif
     return data_.data() + old;
   }
 
+  /// Poison GrowRows writes into new rows in builds with DCHECKs on; no
+  /// kernel emits it (database values are small nonnegative codes).
+  static constexpr Value kUnwrittenValue = static_cast<Value>(0xDEADBEEF);
+
   /// Drops all but the first `rows` tuples (cursor writers that stop
-  /// early shrink back to what they actually filled).
+  /// early shrink back to what they actually filled). Never writes.
   void TruncateRows(int64_t rows) {
     PPR_DCHECK(arity() > 0 && rows >= 0 && rows <= size());
     data_.resize(static_cast<size_t>(rows * arity()));
   }
 
-  /// Bytes of tuple storage currently held.
+  /// Bytes of tuple storage in use: size() tuples, not the capacity.
   int64_t byte_size() const {
     return static_cast<int64_t>(data_.size() * sizeof(Value));
   }
@@ -113,7 +184,8 @@ class Relation {
   std::vector<std::vector<Value>> CanonicalRows() const;
 
   Schema schema_;
-  std::vector<Value> data_;
+  /// Row-major tuples. Growth never zero-fills (see TupleStoreAllocator).
+  std::vector<Value, TupleStoreAllocator<Value>> data_;
   /// Nullary relations (arity 0) carry one bit of information: whether
   /// they contain the empty tuple. Boolean query results live here.
   bool nullary_nonempty_ = false;

@@ -1,6 +1,7 @@
 #include "runtime/plan_cache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <list>
 #include <unordered_map>
 #include <utility>
@@ -30,10 +31,13 @@ uint64_t HashString(const std::string& s) {
   return h;
 }
 
-size_t CountDistinct(std::vector<uint64_t> values) {
-  std::sort(values.begin(), values.end());
+/// Distinct values in `values`, sorted through the reused `scratch`.
+size_t CountDistinct(const std::vector<uint64_t>& values,
+                     std::vector<uint64_t>* scratch) {
+  scratch->assign(values.begin(), values.end());
+  std::sort(scratch->begin(), scratch->end());
   return static_cast<size_t>(
-      std::unique(values.begin(), values.end()) - values.begin());
+      std::unique(scratch->begin(), scratch->end()) - scratch->begin());
 }
 
 }  // namespace
@@ -76,32 +80,46 @@ CanonicalQuery CanonicalizeQuery(const ConjunctiveQuery& query) {
   for (size_t i = 0; i < n; ++i) {
     color[i] = Mix(0x5150BBA7C0FFEE01ULL, static_cast<uint64_t>(is_free[i]));
   }
+  // Occurrences (atom, position) of each attribute, grouped by attribute
+  // (CSR): the incidence structure is fixed, only the colors change.
+  std::vector<size_t> occ_begin(n + 1, 0);
+  for (const AtomInfo& info : atom_infos) {
+    for (size_t arg : info.args) ++occ_begin[arg + 1];
+  }
+  for (size_t i = 0; i < n; ++i) occ_begin[i + 1] += occ_begin[i];
+  std::vector<std::pair<size_t, size_t>> occ(occ_begin[n]);
+  {
+    std::vector<size_t> fill(occ_begin.begin(), occ_begin.end() - 1);
+    for (size_t a = 0; a < atom_infos.size(); ++a) {
+      const auto& args = atom_infos[a].args;
+      for (size_t j = 0; j < args.size(); ++j) occ[fill[args[j]]++] = {a, j};
+    }
+  }
+  std::vector<uint64_t> atom_sig(atom_infos.size());
+  std::vector<uint64_t> contrib;
+  std::vector<uint64_t> scratch;
   auto refine_round = [&] {
-    std::vector<uint64_t> atom_sig(atom_infos.size());
     for (size_t a = 0; a < atom_infos.size(); ++a) {
       uint64_t h = atom_infos[a].rel_hash;
       for (size_t arg : atom_infos[a].args) h = Mix(h, color[arg]);
       atom_sig[a] = h;
     }
-    std::vector<std::vector<uint64_t>> contrib(n);
-    for (size_t a = 0; a < atom_infos.size(); ++a) {
-      const auto& args = atom_infos[a].args;
-      for (size_t j = 0; j < args.size(); ++j) {
-        contrib[args[j]].push_back(Mix(atom_sig[a], j));
-      }
-    }
     for (size_t i = 0; i < n; ++i) {
-      std::sort(contrib[i].begin(), contrib[i].end());  // multiset digest
+      contrib.clear();
+      for (size_t k = occ_begin[i]; k < occ_begin[i + 1]; ++k) {
+        contrib.push_back(Mix(atom_sig[occ[k].first], occ[k].second));
+      }
+      std::sort(contrib.begin(), contrib.end());  // multiset digest
       uint64_t h = color[i];
-      for (uint64_t c : contrib[i]) h = Mix(h, c);
+      for (uint64_t c : contrib) h = Mix(h, c);
       color[i] = h;
     }
   };
   auto refine_to_fixpoint = [&] {
-    size_t distinct = CountDistinct(color);
+    size_t distinct = CountDistinct(color, &scratch);
     for (size_t round = 0; round < n; ++round) {
       refine_round();
-      const size_t d = CountDistinct(color);
+      const size_t d = CountDistinct(color, &scratch);
       if (d == distinct) break;
       distinct = d;
     }
@@ -165,19 +183,24 @@ CanonicalQuery CanonicalizeQuery(const ConjunctiveQuery& query) {
   std::sort(cfree.begin(), cfree.end());
 
   std::string structure;
+  const auto append_number = [&structure](AttrId v) {
+    char digits[16];
+    const auto end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+    structure.append(digits, end);
+  };
   for (const Atom& atom : catoms) {
     structure += atom.relation;
     structure += '(';
     for (size_t j = 0; j < atom.args.size(); ++j) {
       if (j > 0) structure += ',';
-      structure += std::to_string(atom.args[j]);
+      append_number(atom.args[j]);
     }
     structure += ");";
   }
   structure += '|';
   for (size_t j = 0; j < cfree.size(); ++j) {
     if (j > 0) structure += ',';
-    structure += std::to_string(cfree[j]);
+    append_number(cfree[j]);
   }
 
   canon.query = ConjunctiveQuery(std::move(catoms), std::move(cfree));
@@ -213,9 +236,37 @@ uint64_t HashPlanCacheKey(const PlanCacheKey& key) {
 }
 
 namespace {
+/// A key stored with its HashPlanCacheKey. Hashing the structure string
+/// is the costly part of a lookup, so GetOrCompile hashes once and the
+/// shard choice, both maps and eviction reuse the stored hash.
+struct HashedKey {
+  PlanCacheKey key;
+  uint64_t hash = 0;
+};
+/// Borrowed key for lookups, so a find copies no structure string.
+struct KeyRef {
+  const PlanCacheKey* key = nullptr;
+  uint64_t hash = 0;
+};
 struct KeyHasher {
-  size_t operator()(const PlanCacheKey& key) const {
-    return static_cast<size_t>(HashPlanCacheKey(key));
+  using is_transparent = void;
+  size_t operator()(const HashedKey& k) const {
+    return static_cast<size_t>(k.hash);
+  }
+  size_t operator()(const KeyRef& k) const {
+    return static_cast<size_t>(k.hash);
+  }
+};
+struct KeyEq {
+  using is_transparent = void;
+  bool operator()(const HashedKey& a, const HashedKey& b) const {
+    return a.hash == b.hash && a.key == b.key;
+  }
+  bool operator()(const HashedKey& a, const KeyRef& b) const {
+    return a.hash == b.hash && a.key == *b.key;
+  }
+  bool operator()(const KeyRef& a, const HashedKey& b) const {
+    return a.hash == b.hash && *a.key == b.key;
   }
 };
 }  // namespace
@@ -233,15 +284,12 @@ struct PlanCache::InFlight {
 struct PlanCache::Shard {
   mutable Mutex mu;
   /// LRU list, most recently used first; `entries` indexes it by key.
-  std::list<std::pair<PlanCacheKey, std::shared_ptr<const CachedPlan>>> lru
+  using Lru =
+      std::list<std::pair<HashedKey, std::shared_ptr<const CachedPlan>>>;
+  Lru lru GUARDED_BY(mu);
+  std::unordered_map<HashedKey, Lru::iterator, KeyHasher, KeyEq> entries
       GUARDED_BY(mu);
-  std::unordered_map<
-      PlanCacheKey,
-      std::list<std::pair<PlanCacheKey,
-                          std::shared_ptr<const CachedPlan>>>::iterator,
-      KeyHasher>
-      entries GUARDED_BY(mu);
-  std::unordered_map<PlanCacheKey, std::shared_ptr<InFlight>, KeyHasher>
+  std::unordered_map<HashedKey, std::shared_ptr<InFlight>, KeyHasher, KeyEq>
       inflight GUARDED_BY(mu);
   int64_t hits GUARDED_BY(mu) = 0;
   int64_t misses GUARDED_BY(mu) = 0;
@@ -261,25 +309,25 @@ PlanCache::PlanCache(size_t capacity, int num_shards) {
 
 PlanCache::~PlanCache() = default;
 
-PlanCache::Shard& PlanCache::ShardFor(const PlanCacheKey& key) {
-  return *shards_[static_cast<size_t>(HashPlanCacheKey(key)) %
-                  shards_.size()];
+PlanCache::Shard& PlanCache::ShardFor(uint64_t key_hash) {
+  return *shards_[static_cast<size_t>(key_hash) % shards_.size()];
 }
 
 Result<std::shared_ptr<const CachedPlan>> PlanCache::GetOrCompile(
     const PlanCacheKey& key, const Factory& factory, bool* compiled_here) {
   if (compiled_here != nullptr) *compiled_here = false;
-  Shard& shard = ShardFor(key);
+  const KeyRef ref{&key, HashPlanCacheKey(key)};
+  Shard& shard = ShardFor(ref.hash);
   std::shared_ptr<InFlight> flight;
   bool owner = false;
   {
     MutexLock lock(shard.mu);
-    if (auto it = shard.entries.find(key); it != shard.entries.end()) {
+    if (auto it = shard.entries.find(ref); it != shard.entries.end()) {
       ++shard.hits;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       return it->second->second;
     }
-    if (auto it = shard.inflight.find(key); it != shard.inflight.end()) {
+    if (auto it = shard.inflight.find(ref); it != shard.inflight.end()) {
       // Someone else is compiling this key right now; reusing their
       // result is a hit (this thread runs no factory), which keeps the
       // counters deterministic under any interleaving.
@@ -288,7 +336,7 @@ Result<std::shared_ptr<const CachedPlan>> PlanCache::GetOrCompile(
     } else {
       ++shard.misses;
       flight = std::make_shared<InFlight>();
-      shard.inflight.emplace(key, flight);
+      shard.inflight.emplace(HashedKey{key, ref.hash}, flight);
       owner = true;
     }
   }
@@ -311,10 +359,11 @@ Result<std::shared_ptr<const CachedPlan>> PlanCache::GetOrCompile(
   }
   {
     MutexLock lock(shard.mu);
-    shard.inflight.erase(key);
+    shard.inflight.erase(shard.inflight.find(ref));
     if (plan != nullptr) {
-      shard.lru.emplace_front(key, plan);
-      shard.entries[key] = shard.lru.begin();
+      const HashedKey stored{key, ref.hash};
+      shard.lru.emplace_front(stored, plan);
+      shard.entries[stored] = shard.lru.begin();
       while (shard.entries.size() > shard_capacity_) {
         shard.entries.erase(shard.lru.back().first);
         shard.lru.pop_back();

@@ -152,7 +152,7 @@ class PlanCache {
   struct InFlight;
   struct Shard;
 
-  Shard& ShardFor(const PlanCacheKey& key);
+  Shard& ShardFor(uint64_t key_hash);
 
   size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -12,6 +12,27 @@ Relation R(std::vector<AttrId> attrs,
   return Relation{Schema(std::move(attrs)), rows};
 }
 
+TEST(PlanJoinTest, KeysInLeftOrderCarriesInRightOrder) {
+  const JoinSpec spec = PlanJoin(Schema({5, 1, 3, 7}), Schema({3, 9, 5, 2}));
+  // Shared attributes 5 and 3, in the left schema's column order.
+  EXPECT_EQ(spec.left_key_cols, (std::vector<int>{0, 2}));
+  EXPECT_EQ(spec.right_key_cols, (std::vector<int>{2, 0}));
+  EXPECT_EQ(spec.right_carry_cols, (std::vector<int>{1, 3}));
+  EXPECT_EQ(spec.out_schema, Schema({5, 1, 3, 7, 9, 2}));
+
+  const JoinSpec disjoint = PlanJoin(Schema({0, 1}), Schema({2}));
+  EXPECT_TRUE(disjoint.left_key_cols.empty());
+  EXPECT_TRUE(disjoint.right_key_cols.empty());
+  EXPECT_EQ(disjoint.right_carry_cols, (std::vector<int>{0}));
+  EXPECT_EQ(disjoint.out_schema, Schema({0, 1, 2}));
+
+  const JoinSpec covered = PlanJoin(Schema({4, 6}), Schema({6, 4}));
+  EXPECT_EQ(covered.left_key_cols, (std::vector<int>{0, 1}));
+  EXPECT_EQ(covered.right_key_cols, (std::vector<int>{1, 0}));
+  EXPECT_TRUE(covered.right_carry_cols.empty());
+  EXPECT_EQ(covered.out_schema, Schema({4, 6}));
+}
+
 TEST(NaturalJoinTest, JoinsOnSharedAttr) {
   ExecContext ctx;
   Relation left = R({0, 1}, {{1, 2}, {3, 4}});

@@ -249,6 +249,22 @@ TEST(CanonicalizeQueryTest, FreeVariablesAreStructural) {
             CanonicalizeQuery(open).structure);
 }
 
+TEST(CanonicalizeQueryTest, CanonicalFormIsPinned) {
+  // The structure string is the plan cache key and, hashed, the query
+  // log's fingerprint: a change to the refinement must not move it.
+  const ConjunctiveQuery q(
+      {{"edge", {7, 3}}, {"edge", {3, 9}}, {"edge", {9, 7}}, {"edge", {9, 4}},
+       {"edge", {4, 12}}, {"edge", {4, 15}}, {"edge", {3, 20}},
+       {"edge", {7, 21}}},
+      {12});
+  const CanonicalQuery canon = CanonicalizeQuery(q);
+  EXPECT_EQ(canon.structure,
+            "edge(1,5);edge(1,6);edge(2,3);edge(2,7);edge(3,0);edge(3,4);"
+            "edge(4,1);edge(4,2);|6");
+  EXPECT_EQ(canon.from_canonical,
+            (std::vector<AttrId>{20, 4, 7, 3, 9, 15, 12, 21}));
+}
+
 TEST(CanonicalizeQueryTest, FromCanonicalMapsBackToOriginalAttrs) {
   const ConjunctiveQuery q = KColorQuery(Cycle(5));
   const CanonicalQuery canon = CanonicalizeQuery(q);
