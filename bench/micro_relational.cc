@@ -374,7 +374,10 @@ void BM_ProjectWide(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * input.size());
 }
-BENCHMARK(BM_ProjectWide)->Range(1 << 8, 1 << 16);
+// At 2^18 rows the slot array (2^19 slots, 4 MiB) outgrows L2, as the
+// largest batch_paper projections' do; BM_ProjectDistinct* (9 keys) is
+// the low-distinct control.
+BENCHMARK(BM_ProjectWide)->Range(1 << 8, 1 << 16)->Arg(1 << 18);
 
 void BM_ProjectWideColumnar(benchmark::State& state) {
   const Relation input = WideProjectInput(state.range(0));
@@ -388,7 +391,7 @@ void BM_ProjectWideColumnar(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * input.size());
 }
-BENCHMARK(BM_ProjectWideColumnar)->Range(1 << 8, 1 << 16);
+BENCHMARK(BM_ProjectWideColumnar)->Range(1 << 8, 1 << 16)->Arg(1 << 18);
 
 // Arity-14 relations sharing attrs 11..13. The shared columns draw from
 // a domain of about cbrt(rows) values, so the join emits about `rows`

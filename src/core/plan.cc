@@ -29,8 +29,7 @@ std::vector<AttrId> SortedUnion(
   for (const auto& child : children) {
     out.insert(out.end(), child->projected.begin(), child->projected.end());
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  SortUniqueAttrs(&out);
   return out;
 }
 
@@ -182,9 +181,8 @@ std::unique_ptr<PlanNode> MakeLeaf(const ConjunctiveQuery& query,
   PPR_CHECK(atom_index >= 0 && atom_index < query.num_atoms());
   auto node = std::make_unique<PlanNode>();
   node->atom_index = atom_index;
-  node->working =
-      query.atoms()[static_cast<size_t>(atom_index)].DistinctAttrs();
-  std::sort(node->working.begin(), node->working.end());
+  node->working = query.atoms()[static_cast<size_t>(atom_index)].args;
+  SortUniqueAttrs(&node->working);
   node->projected = node->working;
   return node;
 }

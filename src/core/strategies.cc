@@ -273,9 +273,7 @@ Plan BucketEliminationPlan(const ConjunctiveQuery& query,
       all_attrs.insert(all_attrs.end(), node->projected.begin(),
                        node->projected.end());
     }
-    std::sort(all_attrs.begin(), all_attrs.end());
-    all_attrs.erase(std::unique(all_attrs.begin(), all_attrs.end()),
-                    all_attrs.end());
+    SortUniqueAttrs(&all_attrs);
 
     std::vector<AttrId> projected;
     for (AttrId a : all_attrs) {

@@ -18,25 +18,24 @@ namespace {
 // interpreter derived them at runtime: a leaf's schema is the atom's
 // distinct attributes (then the optional projection), an internal node's
 // schema is the left-to-right fold of its children's output schemas.
-std::unique_ptr<PhysicalNode> CompileNode(const ConjunctiveQuery& query,
-                                          const PlanNode* node,
-                                          const Database& db,
-                                          int32_t* next_node_id) {
+// `stored[i]` is the relation atom i scans.
+std::unique_ptr<PhysicalNode> CompileNode(
+    const ConjunctiveQuery& query, const PlanNode* node,
+    const std::vector<const Relation*>& stored, int32_t* next_node_id) {
   auto phys = std::make_unique<PhysicalNode>();
   phys->node_id = (*next_node_id)++;
   Schema working;
   if (node->IsLeaf()) {
-    const Atom& atom = query.atoms()[static_cast<size_t>(node->atom_index)];
-    Result<const Relation*> stored = db.Get(atom.relation);
-    PPR_CHECK(stored.ok());  // Validate() runs before compilation
-    phys->stored = *stored;
-    phys->scan = PlanScan(phys->stored->arity(), atom.args);
+    const auto atom_index = static_cast<size_t>(node->atom_index);
+    phys->stored = stored[atom_index];
+    phys->scan =
+        PlanScan(phys->stored->arity(), query.atoms()[atom_index].args);
     working = phys->scan.out_schema;
   } else {
     phys->children.reserve(node->children.size());
     for (const auto& child : node->children) {
-      phys->children.push_back(CompileNode(query, child.get(), db,
-                                           next_node_id));
+      phys->children.push_back(
+          CompileNode(query, child.get(), stored, next_node_id));
     }
     // The fold's schema so far; `joins` is reserved, so it stays put.
     const Schema* folded = &phys->children.front()->output_schema;
@@ -162,9 +161,22 @@ Result<PhysicalPlan> PhysicalPlan::Compile(const ConjunctiveQuery& query,
     Status verdict = hooks->logical(query, plan, db);
     if (!verdict.ok()) return verdict;
   }
+  // Each atom's relation (Validate() proved they exist); atoms naming the
+  // relation of the atom before them reuse its lookup.
+  const std::vector<Atom>& atoms = query.atoms();
+  std::vector<const Relation*> stored(atoms.size());
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    if (i > 0 && atoms[i].relation == atoms[i - 1].relation) {
+      stored[i] = stored[i - 1];
+      continue;
+    }
+    Result<const Relation*> rel = db.Get(atoms[i].relation);
+    PPR_CHECK(rel.ok());
+    stored[i] = *rel;
+  }
   int32_t next_node_id = 0;
-  PhysicalPlan compiled(CompileNode(query, plan.root(), db, &next_node_id),
-                        join_algorithm);
+  PhysicalPlan compiled(
+      CompileNode(query, plan.root(), stored, &next_node_id), join_algorithm);
   if (verify && hooks->compiled) {
     Status verdict = hooks->compiled(query, plan, db, compiled);
     if (!verdict.ok()) return verdict;

@@ -85,10 +85,10 @@ std::vector<int> MaxCardinalityNumbering(const Graph& g,
   auto take = [&](int v) {
     numbered[static_cast<size_t>(v)] = 1;
     numbering.push_back(v);
+    const uint8_t* adjacent = g.AdjacencyRow(v);
     for (int u = 0; u < n; ++u) {
-      if (g.HasEdge(v, u) && !numbered[static_cast<size_t>(u)]) {
-        ++weight[static_cast<size_t>(u)];
-      }
+      const auto uu = static_cast<size_t>(u);
+      weight[uu] += adjacent[uu] & (numbered[uu] ^ 1);
     }
   };
 

@@ -26,6 +26,11 @@ bool Graph::HasEdge(int u, int v) const {
   return adj_[Index(u, v)] != 0;
 }
 
+const uint8_t* Graph::AdjacencyRow(int v) const {
+  PPR_CHECK(v >= 0 && v < n_);
+  return adj_.data() + Index(v, 0);
+}
+
 int Graph::Degree(int v) const {
   PPR_CHECK(v >= 0 && v < n_);
   int d = 0;

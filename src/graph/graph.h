@@ -32,6 +32,10 @@ class Graph {
 
   bool HasEdge(int u, int v) const;
 
+  /// Row `v` of the adjacency matrix: entry u is 1 when {v, u} is an
+  /// edge, else 0.
+  const uint8_t* AdjacencyRow(int v) const;
+
   int Degree(int v) const;
 
   /// Neighbors of `v` in ascending order.

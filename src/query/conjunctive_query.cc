@@ -1,6 +1,8 @@
 #include "query/conjunctive_query.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "common/check.h"
@@ -46,13 +48,15 @@ void ConjunctiveQuery::SetFreeVars(std::vector<AttrId> free_vars) {
 }
 
 std::vector<AttrId> ConjunctiveQuery::AllAttrs() const {
+  size_t uses = free_vars_.size();
+  for (const Atom& atom : atoms_) uses += atom.args.size();
   std::vector<AttrId> out;
+  out.reserve(uses);
   for (const Atom& atom : atoms_) {
-    for (AttrId a : atom.args) out.push_back(a);
+    out.insert(out.end(), atom.args.begin(), atom.args.end());
   }
   out.insert(out.end(), free_vars_.begin(), free_vars_.end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  SortUniqueAttrs(&out);
   return out;
 }
 
@@ -66,10 +70,17 @@ bool ConjunctiveQuery::UsesAttr(AttrId attr) const {
 }
 
 Status ConjunctiveQuery::Validate(const Database& db) const {
+  // Atoms naming the relation of the atom before them reuse its lookup.
+  const Atom* prev = nullptr;
+  const Relation* stored = nullptr;
   for (const Atom& atom : atoms_) {
-    Result<const Relation*> rel = db.Get(atom.relation);
-    if (!rel.ok()) return rel.status();
-    if ((*rel)->arity() != static_cast<int>(atom.args.size())) {
+    if (prev == nullptr || atom.relation != prev->relation) {
+      Result<const Relation*> rel = db.Get(atom.relation);
+      if (!rel.ok()) return rel.status();
+      stored = *rel;
+    }
+    prev = &atom;
+    if (stored->arity() != static_cast<int>(atom.args.size())) {
       return Status::InvalidArgument("atom " + atom.ToString() +
                                      " has wrong arity for relation '" +
                                      atom.relation + "'");
@@ -101,6 +112,24 @@ std::string ConjunctiveQuery::ToString() const {
     out << atoms_[i].ToString();
   }
   return out.str();
+}
+
+void SortUniqueAttrs(std::vector<AttrId>* attrs) {
+  uint64_t marks[4] = {0, 0, 0, 0};
+  for (AttrId a : *attrs) {
+    if (a < 0 || a >= 256) {
+      std::sort(attrs->begin(), attrs->end());
+      attrs->erase(std::unique(attrs->begin(), attrs->end()), attrs->end());
+      return;
+    }
+    marks[a >> 6] |= uint64_t{1} << (a & 63);
+  }
+  attrs->clear();
+  for (int w = 0; w < 4; ++w) {
+    for (uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
+      attrs->push_back(w * 64 + std::countr_zero(bits));
+    }
+  }
 }
 
 Graph BuildJoinGraph(const ConjunctiveQuery& query) {

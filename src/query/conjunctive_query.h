@@ -68,6 +68,11 @@ class ConjunctiveQuery {
   std::vector<AttrId> free_vars_;
 };
 
+/// Sorts `attrs` ascending and drops repeats. Ids below 256 — every id of
+/// a canonical query of up to 256 attributes — are marked in a bitset and
+/// read back in order; any other id makes it sort.
+void SortUniqueAttrs(std::vector<AttrId>* attrs);
+
 /// Builds the join graph G_Q of Section 5: one node per attribute
 /// (0..max attr id), an edge for every pair of attributes co-occurring in
 /// an atom, plus a clique over the target schema. Its treewidth

@@ -368,11 +368,12 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
   // Counting probe over probe rows [begin, end): returns their matches.
   const auto count_range = [&](int64_t begin, int64_t end) {
     int64_t total = 0;
-    for (int64_t i = begin; i < end; ++i) {
-      const int64_t g = index.FindGroup(probe_cols, i * probe_arity);
-      group[i] = static_cast<int32_t>(g);
-      total += static_cast<int64_t>(index.Matches(g).size());
-    }
+    index.FindGroups(probe_cols, probe_arity, begin, end,
+                     [&](int64_t i, int64_t g) {
+                       group[i] = static_cast<int32_t>(g);
+                       total += static_cast<int64_t>(index.Matches(g).size());
+                       return true;
+                     });
     return total;
   };
   // Materializes the first `quota` matches of probe rows [begin, end) at
@@ -527,9 +528,6 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
   const int key_width = static_cast<int>(spec.cols.size());
   const int in_arity = input.arity();
   const int64_t in_rows = input.size();
-  const Value* base = input.data();
-  const int* cols = spec.cols.data();
-
   const int64_t morsel_rows = mx.effective_morsel_rows();
   const int64_t num_morsels = mx.NumMorsels(in_rows);
 
@@ -548,11 +546,11 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
       mrec.span().batches = 1;
     }
     // Zero-copy column view of the morsel: column c is the strided
-    // sequence base[cols[c]], base[cols[c] + in_arity], ... — the
-    // column-major InsertOrFind walks it with row index i * in_arity,
-    // so the morsel is deduplicated in one pass with no gather copy
-    // (a project reads each input value exactly once either way; the
-    // materialized batch would only double the traffic).
+    // sequence in[cols[c]], in[cols[c] + in_arity], ... — the block
+    // probe walks it with stride in_arity, so the morsel is deduplicated
+    // in one pass with no gather copy (a project reads each input value
+    // exactly once either way; the materialized batch would only double
+    // the traffic).
     const Value* const* col_ptrs = KeyColumns(input, spec.cols, ctx.arena());
     // The output rows are the key store (see ProjectColumns).
     const int64_t reserve_rows = ctx.ClampToHeadroom(in_rows);
@@ -560,11 +558,11 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
                       out.GrowRows(reserve_rows));
     const Counter reserved_bytes = out.byte_size();
     int64_t probed = 0;
-    for (int64_t i = 0; i < in_rows && !ctx.exhausted(); ++i) {
-      bool inserted;
-      seen.InsertOrFindCols(col_ptrs, i * in_arity, &inserted);
-      ++probed;
-      if (inserted && !ctx.ChargeTuples(1)) break;
+    if (!ctx.exhausted()) {
+      probed = seen.InsertRows(
+          col_ptrs, in_arity, 0, in_rows, [&](int64_t, int64_t, bool inserted) {
+            return !inserted || ctx.ChargeTuples(1);
+          });
     }
     out.TruncateRows(seen.num_keys());
     if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
@@ -604,20 +602,14 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
       mrec.span().batches = 1;
     }
     // Zero-copy column view of the morsel (see the single-morsel path):
-    // the column-major InsertOrFind hashes straight out of the strided
-    // input columns, and the local index's key store becomes the packed
-    // row-major copy the merge reads — one pass, no gather scratch.
-    const Value** col_ptrs = warena.AllocSpan<const Value*>(key_width).data();
-    for (int c = 0; c < key_width; ++c) {
-      col_ptrs[c] = base + begin * in_arity + cols[c];
-    }
+    // the block probe hashes straight out of the strided input columns,
+    // and the local index's key store becomes the packed row-major copy
+    // the merge reads — one pass, no gather scratch.
     locals[static_cast<size_t>(m)].emplace(
         n, key_width, local_arenas[static_cast<size_t>(m)]);
     FlatKeyIndex& local = *locals[static_cast<size_t>(m)];
-    for (int64_t i = 0; i < n; ++i) {
-      bool inserted;
-      local.InsertOrFindCols(col_ptrs, i * in_arity, &inserted);
-    }
+    local.InsertRows(KeyColumns(input, spec.cols, warena), in_arity, begin,
+                     end, [](int64_t, int64_t, bool) { return true; });
     local_counts[static_cast<size_t>(m)] = local.num_keys();
     scratch_a[static_cast<size_t>(m)] =
         static_cast<int64_t>(scope.bytes_allocated());
@@ -649,15 +641,20 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
   if (morsel_rows_out != nullptr) {
     morsel_rows_out->assign(static_cast<size_t>(num_morsels), 0);
   }
+  // A morsel-local key store is packed rows: column c starts at value c
+  // and advances by key_width.
+  std::vector<const Value*> kd_cols(static_cast<size_t>(key_width));
   for (int64_t m = 0; m < num_morsels && !ctx.exhausted(); ++m) {
     const Value* kd = locals[static_cast<size_t>(m)]->key_data();
-    const int64_t n = local_counts[static_cast<size_t>(m)];
-    const int64_t before = seen.num_keys();
-    for (int64_t r = 0; r < n && !ctx.exhausted(); ++r) {
-      bool inserted;
-      seen.InsertOrFind(kd + r * key_width, &inserted);
-      if (inserted) ctx.ChargeTuples(1);
+    for (int c = 0; c < key_width; ++c) {
+      kd_cols[static_cast<size_t>(c)] = kd + c;
     }
+    const int64_t before = seen.num_keys();
+    seen.InsertRows(kd_cols.data(), key_width, 0,
+                    local_counts[static_cast<size_t>(m)],
+                    [&](int64_t, int64_t, bool inserted) {
+                      return !inserted || ctx.ChargeTuples(1);
+                    });
     if (morsel_rows_out != nullptr) {
       (*morsel_rows_out)[static_cast<size_t>(m)] = seen.num_keys() - before;
     }
@@ -708,11 +705,8 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
       KeyColumns(right, spec.right_key_cols, ctx.arena());
   const Value* const* left_cols =
       KeyColumns(left, spec.left_key_cols, ctx.arena());
-  const int right_arity = right.arity();
-  for (int64_t i = 0; i < right.size(); ++i) {
-    bool inserted;
-    keys.InsertOrFindCols(right_cols, i * right_arity, &inserted);
-  }
+  keys.InsertRows(right_cols, right.arity(), 0, right.size(),
+                  [](int64_t, int64_t, bool) { return true; });
 
   const int left_arity = left.arity();
   const int64_t left_rows = left.size();
@@ -739,11 +733,13 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
     int32_t* sel =
         sel_arenas[static_cast<size_t>(m)].AllocSpan<int32_t>(n).data();
     int64_t kept = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      if (keys.FindCols(left_cols, (begin + i) * left_arity) >= 0) {
-        sel[kept++] = static_cast<int32_t>(i);
-      }
-    }
+    keys.FindRows(left_cols, left_arity, begin, end,
+                  [&](int64_t row, int64_t id) {
+                    if (id >= 0) {
+                      sel[kept++] = static_cast<int32_t>(row - begin);
+                    }
+                    return true;
+                  });
     counts[static_cast<size_t>(m)] = kept;
     sels[static_cast<size_t>(m)] = sel;
   });

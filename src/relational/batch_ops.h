@@ -19,7 +19,7 @@ namespace ppr {
 /// disjoint slice of the output. The scan runs its morsels through a
 /// ColumnBatch (column_batch.h) — gather, filter via selection vector,
 /// scatter; the hash kernels read their keys in place through strided
-/// column views of the input rows (FlatKeyIndex::InsertOrFindCols).
+/// column views of the input rows (FlatKeyIndex::InsertRows / FindRows).
 ///
 /// Determinism contract (the property tests and the morsel driver rely
 /// on it): for the same inputs, spec, and morsel size, the output

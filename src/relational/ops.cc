@@ -39,6 +39,21 @@ std::vector<int> ColumnIndices(const Schema& schema,
   return cols;
 }
 
+// Bit a set for each attribute id a < 64 of `schema`.
+uint64_t LowAttrMask(const Schema& schema) {
+  uint64_t mask = 0;
+  for (AttrId a : schema.attrs()) {
+    if (a >= 0 && a < 64) mask |= uint64_t{1} << a;
+  }
+  return mask;
+}
+
+// Schema::Contains, answered from `mask` (LowAttrMask(schema)) for ids
+// below 64.
+bool InSchema(const Schema& schema, uint64_t mask, AttrId a) {
+  return a >= 0 && a < 64 ? ((mask >> a) & 1) != 0 : schema.Contains(a);
+}
+
 // Appends one assembled tuple; nullary outputs go through the slow path
 // that flips the nonempty bit.
 inline void Emit(Relation& out, const Value* tuple, int arity) {
@@ -53,12 +68,19 @@ inline void Emit(Relation& out, const Value* tuple, int arity) {
 
 JoinSpec PlanJoin(const Schema& left, const Schema& right) {
   JoinSpec spec;
-  // Keys: the shared attributes, in left's column order.
+  // Keys: the shared attributes, in left's column order. Membership is a
+  // bit test for ids below 64 (canonical queries number attributes from
+  // 0), so only shared attributes are searched for.
+  const uint64_t left_mask = LowAttrMask(left);
+  const uint64_t right_mask = LowAttrMask(right);
+  spec.left_key_cols.reserve(static_cast<size_t>(left.arity()));
+  spec.right_key_cols.reserve(static_cast<size_t>(left.arity()));
+  spec.right_carry_cols.reserve(static_cast<size_t>(right.arity()));
   for (int l = 0; l < left.arity(); ++l) {
-    const int r = right.IndexOf(left.attr(l));
-    if (r < 0) continue;
+    const AttrId a = left.attr(l);
+    if (!InSchema(right, right_mask, a)) continue;
     spec.left_key_cols.push_back(l);
-    spec.right_key_cols.push_back(r);
+    spec.right_key_cols.push_back(right.IndexOf(a));
   }
 
   // Output schema: all of left's attrs, then right-only attrs.
@@ -67,7 +89,7 @@ JoinSpec PlanJoin(const Schema& left, const Schema& right) {
                     spec.right_key_cols.size());
   out_attrs.assign(left.attrs().begin(), left.attrs().end());
   for (int r = 0; r < right.arity(); ++r) {
-    if (left.Contains(right.attr(r))) continue;
+    if (InSchema(left, left_mask, right.attr(r))) continue;
     spec.right_carry_cols.push_back(r);
     out_attrs.push_back(right.attr(r));
   }
@@ -164,11 +186,13 @@ Relation HashJoin(const Relation& left, const Relation& right,
       KeyColumns(probe, probe_key_cols, ctx.arena());
   int32_t* group = ctx.arena().AllocSpan<int32_t>(probe_rows).data();
   int64_t exact_rows = 0;
-  for (int64_t p = 0; p < probe_rows; ++p) {
-    const int64_t g = index.FindGroup(probe_cols, p * probe_arity);
-    group[p] = static_cast<int32_t>(g);
-    exact_rows += static_cast<int64_t>(index.Matches(g).size());
-  }
+  index.FindGroups(probe_cols, probe_arity, 0, probe_rows,
+                   [&](int64_t p, int64_t g) {
+                     group[p] = static_cast<int32_t>(g);
+                     exact_rows +=
+                         static_cast<int64_t>(index.Matches(g).size());
+                     return true;
+                   });
 
   if (out_arity == 0) {
     // Nullary output (both inputs nullary): at most the one empty tuple.
@@ -272,13 +296,17 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
                     out.GrowRows(reserve_rows));
   const Counter reserved_bytes = out.byte_size();
 
-  // Keys are hashed and compared in place, through strided views.
+  // Keys are hashed and compared in place, through strided views; `i`
+  // counts the rows whose key was probed and charged.
   const Value* const* cols = KeyColumns(input, spec.cols, ctx.arena());
   int64_t i = 0;
-  for (; i < in_rows && !ctx.exhausted(); ++i) {
-    bool inserted;
-    seen.InsertOrFindCols(cols, i * in_arity, &inserted);
-    if (inserted && !ctx.ChargeTuples(1)) break;
+  if (!ctx.exhausted()) {
+    seen.InsertRows(cols, in_arity, 0, in_rows,
+                    [&](int64_t, int64_t, bool inserted) {
+                      if (inserted && !ctx.ChargeTuples(1)) return false;
+                      ++i;
+                      return true;
+                    });
   }
   out.TruncateRows(seen.num_keys());
 
@@ -322,23 +350,28 @@ Relation SemiJoinFiltered(const Relation& left, const Relation& right,
   const Value* const* left_cols =
       KeyColumns(left, spec.left_key_cols, ctx.arena());
 
-  const int right_arity = right.arity();
   const int64_t right_rows = right.size();
-  for (int64_t i = 0; i < right_rows; ++i) {
-    bool inserted;
-    keys.InsertOrFindCols(right_cols, i * right_arity, &inserted);
-  }
+  keys.InsertRows(right_cols, right.arity(), 0, right_rows,
+                  [](int64_t, int64_t, bool) { return true; });
 
   out.Reserve(CappedReserveRows(static_cast<double>(left.size()), ctx));
   const int left_arity = left.arity();
   const int64_t left_rows = left.size();
   const Value* left_base = left.data();
+  // Without shared attributes the keys are nullary: right's one empty
+  // key is found for every left row. `i` counts the rows probed and, on
+  // a match, charged.
   int64_t i = 0;
-  for (; i < left_rows && !ctx.exhausted(); ++i) {
-    if (no_common || keys.FindCols(left_cols, i * left_arity) >= 0) {
-      Emit(out, left_base + i * left_arity, left_arity);
-      if (!ctx.ChargeTuples(1)) break;
-    }
+  if (!ctx.exhausted()) {
+    keys.FindRows(left_cols, left_arity, 0, left_rows,
+                  [&](int64_t row, int64_t id) {
+                    if (id >= 0) {
+                      Emit(out, left_base + row * left_arity, left_arity);
+                      if (!ctx.ChargeTuples(1)) return false;
+                    }
+                    ++i;
+                    return true;
+                  });
   }
 
   const Counter footprint =

@@ -1,6 +1,7 @@
 #include "relational/schema.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "common/check.h"
@@ -8,10 +9,17 @@
 namespace ppr {
 
 Schema::Schema(std::vector<AttrId> attrs) : attrs_(std::move(attrs)) {
+  // Ids below 64 are checked against a bitmask of the ones seen; any
+  // other id against every attribute before it.
+  uint64_t seen = 0;
   for (size_t i = 0; i < attrs_.size(); ++i) {
-    for (size_t j = i + 1; j < attrs_.size(); ++j) {
-      PPR_CHECK(attrs_[i] != attrs_[j]);
+    const AttrId a = attrs_[i];
+    if (a >= 0 && a < 64) {
+      PPR_CHECK(((seen >> a) & 1) == 0);
+      seen |= uint64_t{1} << a;
+      continue;
     }
+    for (size_t j = 0; j < i; ++j) PPR_CHECK(attrs_[j] != a);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <list>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -57,18 +58,23 @@ CanonicalQuery CanonicalizeQuery(const ConjunctiveQuery& query) {
   std::vector<char> is_free(n, 0);
   for (AttrId f : query.free_vars()) is_free[dense_of(f)] = 1;
 
-  struct AtomInfo {
-    uint64_t rel_hash = 0;
-    std::vector<size_t> args;  // dense attr indices, repeats preserved
-  };
-  std::vector<AtomInfo> atom_infos;
-  atom_infos.reserve(query.atoms().size());
-  for (const Atom& atom : query.atoms()) {
-    AtomInfo info;
-    info.rel_hash = HashString(atom.relation);
-    info.args.reserve(atom.args.size());
-    for (AttrId a : atom.args) info.args.push_back(dense_of(a));
-    atom_infos.push_back(std::move(info));
+  // The atoms, flattened: atom a's args (dense attr indices, repeats
+  // preserved) are args[arg_begin[a], arg_begin[a + 1]). Atoms naming the
+  // relation of the atom before them reuse its hash.
+  const std::vector<Atom>& atoms = query.atoms();
+  const size_t m = atoms.size();
+  std::vector<uint64_t> rel_hash(m);
+  std::vector<size_t> arg_begin(m + 1, 0);
+  for (size_t a = 0; a < m; ++a) {
+    arg_begin[a + 1] = arg_begin[a] + atoms[a].args.size();
+  }
+  std::vector<size_t> args(arg_begin[m]);
+  for (size_t a = 0; a < m; ++a) {
+    rel_hash[a] = a > 0 && atoms[a].relation == atoms[a - 1].relation
+                      ? rel_hash[a - 1]
+                      : HashString(atoms[a].relation);
+    size_t k = arg_begin[a];
+    for (AttrId v : atoms[a].args) args[k++] = dense_of(v);
   }
 
   // Weisfeiler-Leman color refinement over the attribute <-> atom
@@ -83,25 +89,26 @@ CanonicalQuery CanonicalizeQuery(const ConjunctiveQuery& query) {
   // Occurrences (atom, position) of each attribute, grouped by attribute
   // (CSR): the incidence structure is fixed, only the colors change.
   std::vector<size_t> occ_begin(n + 1, 0);
-  for (const AtomInfo& info : atom_infos) {
-    for (size_t arg : info.args) ++occ_begin[arg + 1];
-  }
+  for (size_t arg : args) ++occ_begin[arg + 1];
   for (size_t i = 0; i < n; ++i) occ_begin[i + 1] += occ_begin[i];
   std::vector<std::pair<size_t, size_t>> occ(occ_begin[n]);
   {
     std::vector<size_t> fill(occ_begin.begin(), occ_begin.end() - 1);
-    for (size_t a = 0; a < atom_infos.size(); ++a) {
-      const auto& args = atom_infos[a].args;
-      for (size_t j = 0; j < args.size(); ++j) occ[fill[args[j]]++] = {a, j};
+    for (size_t a = 0; a < m; ++a) {
+      for (size_t k = arg_begin[a]; k < arg_begin[a + 1]; ++k) {
+        occ[fill[args[k]]++] = {a, k - arg_begin[a]};
+      }
     }
   }
-  std::vector<uint64_t> atom_sig(atom_infos.size());
+  std::vector<uint64_t> atom_sig(m);
   std::vector<uint64_t> contrib;
   std::vector<uint64_t> scratch;
   auto refine_round = [&] {
-    for (size_t a = 0; a < atom_infos.size(); ++a) {
-      uint64_t h = atom_infos[a].rel_hash;
-      for (size_t arg : atom_infos[a].args) h = Mix(h, color[arg]);
+    for (size_t a = 0; a < m; ++a) {
+      uint64_t h = rel_hash[a];
+      for (size_t k = arg_begin[a]; k < arg_begin[a + 1]; ++k) {
+        h = Mix(h, color[args[k]]);
+      }
       atom_sig[a] = h;
     }
     for (size_t i = 0; i < n; ++i) {
@@ -160,21 +167,34 @@ CanonicalQuery CanonicalizeQuery(const ConjunctiveQuery& query) {
     canon.from_canonical[rank] = attrs[order[rank]];
   }
 
-  std::vector<Atom> catoms;
-  catoms.reserve(atom_infos.size());
-  for (size_t a = 0; a < atom_infos.size(); ++a) {
-    Atom atom;
-    atom.relation = query.atoms()[a].relation;
-    atom.args.reserve(atom_infos[a].args.size());
-    for (size_t arg : atom_infos[a].args) {
-      atom.args.push_back(to_canonical[arg]);
+  // Atoms in (relation, canonical args) order: an index sort over the
+  // flat canonical args, then one pass building the atoms in that order.
+  std::vector<AttrId> cargs(args.size());
+  for (size_t k = 0; k < args.size(); ++k) cargs[k] = to_canonical[args[k]];
+  const auto cargs_of = [&](size_t a) {
+    return std::span<const AttrId>(cargs.data() + arg_begin[a],
+                                   arg_begin[a + 1] - arg_begin[a]);
+  };
+  std::vector<size_t> atom_order(m);
+  for (size_t a = 0; a < m; ++a) atom_order[a] = a;
+  std::sort(atom_order.begin(), atom_order.end(), [&](size_t x, size_t y) {
+    if (const int c = atoms[x].relation.compare(atoms[y].relation); c != 0) {
+      return c < 0;
     }
-    catoms.push_back(std::move(atom));
-  }
-  std::sort(catoms.begin(), catoms.end(), [](const Atom& x, const Atom& y) {
-    if (x.relation != y.relation) return x.relation < y.relation;
-    return x.args < y.args;
+    const std::span<const AttrId> ax = cargs_of(x);
+    const std::span<const AttrId> ay = cargs_of(y);
+    return std::lexicographical_compare(ax.begin(), ax.end(), ay.begin(),
+                                        ay.end());
   });
+  std::vector<Atom> catoms(m);
+  size_t structure_bytes = 1;
+  for (size_t i = 0; i < m; ++i) {
+    const size_t a = atom_order[i];
+    const std::span<const AttrId> ca = cargs_of(a);
+    catoms[i].relation = atoms[a].relation;
+    catoms[i].args.assign(ca.begin(), ca.end());
+    structure_bytes += atoms[a].relation.size() + 3 + 4 * ca.size();
+  }
   std::vector<AttrId> cfree;
   cfree.reserve(query.free_vars().size());
   for (AttrId f : query.free_vars()) {
@@ -183,6 +203,7 @@ CanonicalQuery CanonicalizeQuery(const ConjunctiveQuery& query) {
   std::sort(cfree.begin(), cfree.end());
 
   std::string structure;
+  structure.reserve(structure_bytes + 4 * cfree.size());
   const auto append_number = [&structure](AttrId v) {
     char digits[16];
     const auto end = std::to_chars(digits, digits + sizeof(digits), v).ptr;

@@ -1,5 +1,9 @@
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -722,6 +726,73 @@ TEST(ServiceServerTest, ConnectCloseCyclesLeaveFdAndThreadCountsFlat) {
   const ServiceCounters counters = service.counters();
   EXPECT_EQ(counters.requests, 1);
   EXPECT_EQ(counters.ok, 1);
+}
+
+// Connects to the loopback `port`, sends the first `n` bytes of `bytes`
+// and closes.
+bool SendPrefixAndClose(int port, const std::string& bytes, size_t n) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return false;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  bool ok = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)) == 0;
+  for (size_t sent = 0; ok && sent < n;) {
+    const ssize_t w = ::send(fd, bytes.data() + sent, n - sent, MSG_NOSIGNAL);
+    ok = w > 0;
+    if (ok) sent += static_cast<size_t>(w);
+  }
+  ::close(fd);
+  return ok;
+}
+
+TEST(ServiceServerTest, FramesTruncatedAtEveryOffsetLeaveTheServerServing) {
+  const Database db = ThreeColorDb();
+  QueryService service(db, ServiceConfig{});
+  ServiceServer server(&service, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  const int fds_before = ProcEntries("fd");
+  const int threads_before = ProcEntries("task");
+
+  // Every proper prefix of a valid request frame, each on its own
+  // connection that then hangs up: inside the length word, inside the
+  // type and request id, and inside the payload.
+  const std::string frame =
+      EncodeRequestFrame(MakeRequest("pi{X} edge(X, Y)", 7));
+  for (size_t k = 0; k < frame.size(); ++k) {
+    ASSERT_TRUE(SendPrefixAndClose(server.port(), frame, k)) << "offset " << k;
+    while (server.connections_accepted() <= static_cast<int64_t>(k)) {
+      std::this_thread::yield();
+    }
+  }
+  ASSERT_TRUE(ServedOnNewConnection(server.port(), 8));
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((ProcEntries("fd") > fds_before ||
+          ProcEntries("task") > threads_before) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(ProcEntries("fd"), fds_before);
+  EXPECT_EQ(ProcEntries("task"), threads_before);
+
+  server.Stop();
+  EXPECT_EQ(server.connections_accepted(),
+            static_cast<int64_t>(frame.size()) + 1);
+  EXPECT_EQ(server.write_errors(), 0);
+  EXPECT_EQ(server.accept_errors(), 0);
+  // No truncated frame reached the service: the one request is the
+  // served one, and every counter reconciles with it.
+  const ServiceCounters counters = service.counters();
+  EXPECT_EQ(counters.requests, 1);
+  EXPECT_EQ(counters.admitted, 1);
+  EXPECT_EQ(counters.completed, 1);
+  EXPECT_EQ(counters.ok, 1);
+  EXPECT_EQ(counters.invalid, 0);
+  EXPECT_EQ(counters.errors, 0);
 }
 
 // Restores the descriptor limit however the test exits.
