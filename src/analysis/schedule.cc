@@ -1,12 +1,17 @@
 #include "analysis/schedule.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "common/strings.h"
 
 namespace ppr {
 namespace {
+
+bool Contains(std::span<const AttrId> attrs, AttrId a) {
+  return std::find(attrs.begin(), attrs.end(), a) != attrs.end();
+}
 
 // Appends the operators of `node` (post-order, children left to right,
 // fold joins interleaved, optional trailing projection) and returns the
@@ -41,11 +46,10 @@ int LowerNode(const ConjunctiveQuery& query, const PlanNode* node,
       // then right-only attributes in the right input's column order.
       const auto& left = schedule->ops[static_cast<size_t>(producer)].out_attrs;
       const auto& right = schedule->ops[static_cast<size_t>(child)].out_attrs;
+      join.out_attrs.reserve(left.size() + right.size());
       join.out_attrs = left;
       for (AttrId a : right) {
-        if (std::find(left.begin(), left.end(), a) == left.end()) {
-          join.out_attrs.push_back(a);
-        }
+        if (!Contains(left, a)) join.out_attrs.push_back(a);
       }
       producer = schedule->num_ops();
       schedule->ops.push_back(std::move(join));
@@ -70,15 +74,54 @@ std::string AttrsToString(const std::vector<AttrId>& attrs) {
          "}";
 }
 
-bool HasDuplicates(std::vector<AttrId> attrs) {
-  std::sort(attrs.begin(), attrs.end());
-  return std::adjacent_find(attrs.begin(), attrs.end()) != attrs.end();
+// Schemas are a handful of attributes, so a quadratic scan beats a
+// sorted copy.
+bool HasDuplicates(const std::vector<AttrId>& attrs) {
+  for (auto it = attrs.begin(); it != attrs.end(); ++it) {
+    if (std::find(attrs.begin(), it, *it) != it) return true;
+  }
+  return false;
 }
 
-bool SameAttrSet(std::vector<AttrId> a, std::vector<AttrId> b) {
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return a == b;
+// Whether `out` is `atom`'s distinct attributes in first-occurrence
+// order (Atom::DistinctAttrs), compared in place.
+bool IsAtomSchema(const std::vector<AttrId>& out, const Atom& atom) {
+  size_t k = 0;
+  for (size_t c = 0; c < atom.args.size(); ++c) {
+    const AttrId a = atom.args[c];
+    if (Contains(std::span<const AttrId>(atom.args).first(c), a)) continue;
+    if (k == out.size() || out[k] != a) return false;
+    ++k;
+  }
+  return k == out.size();
+}
+
+// Whether `out` is left ++ right-only attributes (PlanJoin's schema),
+// compared in place.
+bool IsJoinSchema(const std::vector<AttrId>& out,
+                  const std::vector<AttrId>& left,
+                  const std::vector<AttrId>& right) {
+  if (out.size() < left.size() ||
+      !std::equal(left.begin(), left.end(), out.begin())) {
+    return false;
+  }
+  size_t k = left.size();
+  for (AttrId a : right) {
+    if (Contains(left, a)) continue;
+    if (k == out.size() || out[k] != a) return false;
+    ++k;
+  }
+  return k == out.size();
+}
+
+// Whether `b` holds exactly the attributes of the duplicate-free `a`.
+bool SameAttrSet(const std::vector<AttrId>& a,
+                 const std::vector<AttrId>& b) {
+  return a.size() == b.size() &&
+         std::all_of(a.begin(), a.end(),
+                     [&](AttrId x) { return Contains(b, x); }) &&
+         std::all_of(b.begin(), b.end(),
+                     [&](AttrId x) { return Contains(a, x); });
 }
 
 }  // namespace
@@ -112,6 +155,9 @@ std::string OpSchedule::ToString(const ConjunctiveQuery& query) const {
 OpSchedule BuildSchedule(const ConjunctiveQuery& query, const Plan& plan) {
   OpSchedule schedule;
   if (plan.empty()) return schedule;
+  // A scan per atom, at most a join per further atom, and a projection
+  // on most nodes.
+  schedule.ops.reserve(3 * query.atoms().size());
   schedule.root_op = LowerNode(query, plan.root(), &schedule);
   return schedule;
 }
@@ -152,7 +198,7 @@ Status ValidateSchedule(const ConjunctiveQuery& query,
                                          std::to_string(op.atom_index));
         }
         const Atom& atom = query.atoms()[static_cast<size_t>(op.atom_index)];
-        if (op.out_attrs != atom.DistinctAttrs()) {
+        if (!IsAtomSchema(op.out_attrs, atom)) {
           return Status::InvalidArgument(
               "scan of " + atom.ToString() + " emits " +
               AttrsToString(op.out_attrs) + " instead of the atom schema");
@@ -170,13 +216,11 @@ Status ValidateSchedule(const ConjunctiveQuery& query,
             schedule.ops[static_cast<size_t>(op.left_input)].out_attrs;
         const auto& right =
             schedule.ops[static_cast<size_t>(op.right_input)].out_attrs;
-        std::vector<AttrId> expected = left;
-        for (AttrId a : right) {
-          if (std::find(left.begin(), left.end(), a) == left.end()) {
-            expected.push_back(a);
+        if (!IsJoinSchema(op.out_attrs, left, right)) {
+          std::vector<AttrId> expected = left;
+          for (AttrId a : right) {
+            if (!Contains(left, a)) expected.push_back(a);
           }
-        }
-        if (op.out_attrs != expected) {
           return Status::InvalidArgument(
               "join emits " + AttrsToString(op.out_attrs) +
               " instead of left ++ right-only " + AttrsToString(expected));
@@ -190,7 +234,7 @@ Status ValidateSchedule(const ConjunctiveQuery& query,
         const auto& input =
             schedule.ops[static_cast<size_t>(op.left_input)].out_attrs;
         for (AttrId a : op.out_attrs) {
-          if (std::find(input.begin(), input.end(), a) == input.end()) {
+          if (!Contains(input, a)) {
             return Status::InvalidArgument(
                 "projection reads unbound attribute x" + std::to_string(a) +
                 " absent from its input " + AttrsToString(input));
@@ -213,10 +257,9 @@ Status ValidateSchedule(const ConjunctiveQuery& query,
     }
   }
 
-  std::vector<AttrId> target = query.free_vars();
   if (!SameAttrSet(schedule.ops[static_cast<size_t>(schedule.root_op)]
                        .out_attrs,
-                   target)) {
+                   query.free_vars())) {
     return Status::InvalidArgument(
         "final operator does not produce the target schema");
   }

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
+#include <numeric>
+#include <span>
 #include <sstream>
-#include <unordered_set>
-#include <vector>
-
 #include <unordered_map>
+#include <vector>
 
 #include "analysis/schedule.h"
 #include "common/check.h"
@@ -21,18 +20,27 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Database statistics the size bounds are computed from. All offline
-// (analysis never runs during Execute), so exact scans are affordable.
+// Statistics of one stored relation. All offline (analysis never runs
+// during Execute), so exact scans are affordable; they run once per
+// distinct relation per call, however many atoms read it.
+struct RelationStats {
+  const Relation* rel = nullptr;
+  /// Row count (with duplicates — the sound multiset bound).
+  double rows = 0.0;
+  /// Whether the relation is duplicate-free (set semantics; join outputs
+  /// of duplicate-free inputs stay duplicate-free, which is what licenses
+  /// the cover and domain caps on joins).
+  bool dup_free = false;
+  /// Distinct values per column.
+  std::vector<double> column_distinct;
+};
+
+// Database statistics the size bounds are computed from.
 struct DbStats {
-  /// Row count per atom (with duplicates — the sound multiset bound).
-  std::vector<double> atom_rows;
-  /// Whether each atom's stored relation is duplicate-free (set
-  /// semantics; join outputs of duplicate-free inputs stay
-  /// duplicate-free, which is what licenses the cover and domain caps
-  /// on joins).
-  std::vector<bool> atom_dup_free;
-  /// Distinct attributes bound by each atom, sorted.
-  std::vector<std::vector<AttrId>> atom_attrs;
+  /// The distinct relations the query's atoms read.
+  std::vector<RelationStats> relations;
+  /// Index into `relations` per atom.
+  std::vector<int> atom_relation;
   /// Per-attribute active-domain bound: min over atom occurrences of the
   /// distinct values in the bound stored column; kInf when unbound.
   std::vector<double> attr_domain;
@@ -40,18 +48,29 @@ struct DbStats {
 
 bool IsDuplicateFree(const Relation& rel) {
   if (rel.arity() == 0) return true;
-  std::set<std::vector<Value>> seen;
-  for (int64_t i = 0; i < rel.size(); ++i) {
-    const auto row = rel.row(i);
-    if (!seen.emplace(row.begin(), row.end()).second) return false;
-  }
-  return true;
+  std::vector<int64_t> order(static_cast<size_t>(rel.size()));
+  std::iota(order.begin(), order.end(), int64_t{0});
+  const auto less = [&](int64_t a, int64_t b) {
+    const auto ra = rel.row(a);
+    const auto rb = rel.row(b);
+    return std::lexicographical_compare(ra.begin(), ra.end(), rb.begin(),
+                                        rb.end());
+  };
+  std::sort(order.begin(), order.end(), less);
+  return std::adjacent_find(order.begin(), order.end(),
+                            [&](int64_t a, int64_t b) {
+                              return !less(a, b);
+                            }) == order.end();
 }
 
-int64_t DistinctColumnValues(const Relation& rel, int col) {
-  std::unordered_set<Value> values;
-  for (int64_t i = 0; i < rel.size(); ++i) values.insert(rel.at(i, col));
-  return static_cast<int64_t>(values.size());
+// Distinct values in column `col`; `scratch` is reused across columns.
+double DistinctColumnValues(const Relation& rel, int col,
+                            std::vector<Value>* scratch) {
+  scratch->clear();
+  for (int64_t i = 0; i < rel.size(); ++i) scratch->push_back(rel.at(i, col));
+  std::sort(scratch->begin(), scratch->end());
+  return static_cast<double>(
+      std::unique(scratch->begin(), scratch->end()) - scratch->begin());
 }
 
 Result<DbStats> CollectDbStats(const ConjunctiveQuery& query,
@@ -62,55 +81,89 @@ Result<DbStats> CollectDbStats(const ConjunctiveQuery& query,
     for (AttrId a : atom.args) max_attr = std::max(max_attr, a);
   }
   stats.attr_domain.assign(static_cast<size_t>(max_attr + 1), kInf);
+  stats.atom_relation.reserve(query.atoms().size());
 
   for (const Atom& atom : query.atoms()) {
     Result<const Relation*> stored = db.Get(atom.relation);
     if (!stored.ok()) return stored.status();
-    const Relation& rel = **stored;
-    stats.atom_rows.push_back(static_cast<double>(rel.size()));
-    stats.atom_dup_free.push_back(IsDuplicateFree(rel));
-    std::vector<AttrId> attrs = atom.DistinctAttrs();
-    std::sort(attrs.begin(), attrs.end());
-    stats.atom_attrs.push_back(std::move(attrs));
+    const Relation* rel = *stored;
+    if (static_cast<int>(atom.args.size()) != rel->arity()) {
+      return Status::InvalidArgument("atom " + atom.ToString() +
+                                     " does not match the arity of its "
+                                     "stored relation");
+    }
+    size_t r = 0;
+    while (r < stats.relations.size() && stats.relations[r].rel != rel) ++r;
+    if (r == stats.relations.size()) {
+      RelationStats rs;
+      rs.rel = rel;
+      rs.rows = static_cast<double>(rel->size());
+      rs.dup_free = IsDuplicateFree(*rel);
+      std::vector<Value> scratch;
+      scratch.reserve(static_cast<size_t>(rel->size()));
+      rs.column_distinct.reserve(static_cast<size_t>(rel->arity()));
+      for (int c = 0; c < rel->arity(); ++c) {
+        rs.column_distinct.push_back(DistinctColumnValues(*rel, c, &scratch));
+      }
+      stats.relations.push_back(std::move(rs));
+    }
+    stats.atom_relation.push_back(static_cast<int>(r));
+    const RelationStats& rs = stats.relations[r];
     for (size_t c = 0; c < atom.args.size(); ++c) {
       auto& dom = stats.attr_domain[static_cast<size_t>(atom.args[c])];
-      dom = std::min(dom, static_cast<double>(DistinctColumnValues(
-                              rel, static_cast<int>(c))));
+      dom = std::min(dom, rs.column_distinct[c]);
     }
   }
   return stats;
 }
 
+// One scan in schedule order: its distinct attributes (the scan
+// operator's schema) and its stored row count.
+struct ScanStats {
+  const std::vector<AttrId>* attrs = nullptr;
+  double rows = 0.0;
+};
+
 // Integral relaxation of the AGM fractional edge cover, searched
 // greedily: any subset S of the atoms below an operator whose attribute
 // sets cover the output attributes U bounds the output by prod |R_i|
 // (atoms outside S can only filter). Greedy pick: most newly covered
-// attributes, ties to the smaller relation. Returns kInf when the
-// candidate atoms cannot cover U.
+// attributes, ties to the first of the smaller relations in schedule
+// order. `uncovered` is an all-zero mark per attribute id, returned
+// all-zero. Returns kInf when the candidate atoms cannot cover U.
 double GreedyCoverBound(const std::vector<AttrId>& out_attrs,
-                        const std::vector<int>& atoms, const DbStats& db) {
-  std::set<AttrId> remaining(out_attrs.begin(), out_attrs.end());
+                        std::span<const ScanStats> below,
+                        std::vector<char>* uncovered) {
+  char* mark = uncovered->data();
+  // Operator schemas hold no duplicate attribute and only atom
+  // attributes (ValidateSchedule).
+  int remaining = static_cast<int>(out_attrs.size());
+  for (AttrId a : out_attrs) {
+    PPR_DCHECK(a >= 0 && static_cast<size_t>(a) < uncovered->size());
+    mark[a] = 1;
+  }
   double bound = 1.0;
-  while (!remaining.empty()) {
-    int best = -1;
+  while (remaining > 0) {
+    const ScanStats* best = nullptr;
     int best_covered = 0;
-    for (int ai : atoms) {
+    for (const ScanStats& scan : below) {
       int covered = 0;
-      for (AttrId a : db.atom_attrs[static_cast<size_t>(ai)]) {
-        covered += remaining.count(a) > 0 ? 1 : 0;
-      }
+      for (AttrId a : *scan.attrs) covered += mark[a];
       if (covered > best_covered ||
           (covered == best_covered && covered > 0 &&
-           db.atom_rows[static_cast<size_t>(ai)] <
-               db.atom_rows[static_cast<size_t>(best)])) {
-        best = ai;
+           scan.rows < best->rows)) {
+        best = &scan;
         best_covered = covered;
       }
     }
-    if (best < 0) return kInf;
-    bound *= db.atom_rows[static_cast<size_t>(best)];
-    for (AttrId a : db.atom_attrs[static_cast<size_t>(best)]) {
-      remaining.erase(a);
+    if (best == nullptr) {
+      for (AttrId a : out_attrs) mark[a] = 0;
+      return kInf;
+    }
+    bound *= best->rows;
+    for (AttrId a : *best->attrs) {
+      remaining -= mark[a];
+      mark[a] = 0;
     }
   }
   return bound;
@@ -124,6 +177,108 @@ double DomainCap(const std::vector<AttrId>& attrs, const DbStats& db) {
     cap *= db.attr_domain[static_cast<size_t>(a)];
   }
   return cap;
+}
+
+// AnalyzePlan over an already-lowered schedule of a non-empty plan.
+StaticAnalysis AnalyzeSchedule(const ConjunctiveQuery& query,
+                               const OpSchedule& schedule,
+                               const Database& db) {
+  StaticAnalysis analysis;
+  analysis.status = ValidateSchedule(query, schedule);
+  if (!analysis.status.ok()) return analysis;
+
+  Result<DbStats> stats = CollectDbStats(query, db);
+  if (!stats.ok()) {
+    analysis.status = stats.status();
+    return analysis;
+  }
+  const DbStats& dbs = *stats;
+
+  // Per-op state: output row bound, duplicate-freeness, and the first of
+  // the scans below it. The schedule is post-order, so the operators of
+  // a subtree are contiguous and the atoms below operator i are exactly
+  // scans[scan_lo ..) as of operator i, left subtree first — the order
+  // the greedy cover's tie-break depends on.
+  struct OpState {
+    double bound = 0.0;
+    size_t scan_lo = 0;
+    bool dup_free = false;
+  };
+  const size_t num_ops = static_cast<size_t>(schedule.num_ops());
+  std::vector<OpState> state(num_ops);
+  std::vector<ScanStats> scans;
+  scans.reserve(query.atoms().size());
+  std::vector<char> uncovered(dbs.attr_domain.size(), 0);
+  analysis.per_op.reserve(num_ops);
+
+  for (size_t si = 0; si < num_ops; ++si) {
+    const ScheduledOp& op = schedule.ops[si];
+    OpState& st = state[si];
+    double bound = kInf;
+    switch (op.kind) {
+      case OpKind::kScan: {
+        const RelationStats& rel =
+            dbs.relations[static_cast<size_t>(
+                dbs.atom_relation[static_cast<size_t>(op.atom_index)])];
+        st.scan_lo = scans.size();
+        scans.push_back(ScanStats{&op.out_attrs, rel.rows});
+        st.dup_free = rel.dup_free;
+        bound = rel.rows;
+        if (st.dup_free) {
+          bound = std::min(bound, DomainCap(op.out_attrs, dbs));
+        }
+        break;
+      }
+      case OpKind::kJoin: {
+        const size_t li = static_cast<size_t>(op.left_input);
+        const size_t ri = static_cast<size_t>(op.right_input);
+        const OpState& left = state[li];
+        const OpState& right = state[ri];
+        // Post-order: the right subtree ends just before the join and
+        // starts after the left one.
+        PPR_DCHECK(ri + 1 == si && left.scan_lo <= right.scan_lo);
+        st.scan_lo = left.scan_lo;
+        st.dup_free = left.dup_free && right.dup_free;
+        bound = left.bound * right.bound;
+        if (st.dup_free) {
+          // Set semantics below: the output is contained in the
+          // projection of the join of the atoms below it.
+          bound = std::min(
+              bound, GreedyCoverBound(
+                         op.out_attrs,
+                         std::span<const ScanStats>(scans).subspan(st.scan_lo),
+                         &uncovered));
+          bound = std::min(bound, DomainCap(op.out_attrs, dbs));
+        }
+        break;
+      }
+      case OpKind::kProject: {
+        const size_t li = static_cast<size_t>(op.left_input);
+        PPR_DCHECK(li + 1 == si);
+        st.scan_lo = state[li].scan_lo;
+        st.dup_free = true;  // ProjectColumns always deduplicates
+        // A projection's support set is contained in the set-semantics
+        // result regardless of input multiplicities, so the cover bound
+        // and the domain cap apply unconditionally.
+        bound = std::min(
+            state[li].bound,
+            GreedyCoverBound(
+                op.out_attrs,
+                std::span<const ScanStats>(scans).subspan(st.scan_lo),
+                &uncovered));
+        bound = std::min(bound, DomainCap(op.out_attrs, dbs));
+        break;
+      }
+    }
+    st.bound = bound;
+    analysis.per_op.push_back(OpBound{op.arity(), bound});
+    analysis.max_intermediate_arity =
+        std::max(analysis.max_intermediate_arity, op.arity());
+    analysis.max_intermediate_rows_bound =
+        std::max(analysis.max_intermediate_rows_bound, bound);
+    analysis.tuples_produced_bound += bound;
+  }
+  return analysis;
 }
 
 // Numbers the plan nodes pre-order (the numbering shared with
@@ -144,9 +299,7 @@ std::string StaticAnalysis::ToString() const {
     out << "analysis failed: " << status.ToString();
     return out.str();
   }
-  out << "max_intermediate_arity=" << max_intermediate_arity
-      << " (decomposition width " << decomposition_width
-      << ", treewidth lower bound " << treewidth_lower_bound << ")\n"
+  out << "max_intermediate_arity=" << max_intermediate_arity << "\n"
       << "max_intermediate_rows<=" << max_intermediate_rows_bound
       << " tuples_produced<=" << tuples_produced_bound << "\n";
   return out.str();
@@ -154,91 +307,20 @@ std::string StaticAnalysis::ToString() const {
 
 StaticAnalysis AnalyzePlan(const ConjunctiveQuery& query, const Plan& plan,
                            const Database& db) {
-  StaticAnalysis analysis;
   if (plan.empty()) {
+    StaticAnalysis analysis;
     analysis.status = Status::InvalidArgument("empty plan");
     return analysis;
   }
-  const OpSchedule schedule = BuildSchedule(query, plan);
-  analysis.status = ValidateSchedule(query, schedule);
-  if (!analysis.status.ok()) return analysis;
-
-  Result<DbStats> stats = CollectDbStats(query, db);
-  if (!stats.ok()) {
-    analysis.status = stats.status();
-    return analysis;
-  }
-  const DbStats& dbs = *stats;
-
-  // Per-op state: output row bound, duplicate-freeness, atoms below.
-  std::vector<double> bounds(static_cast<size_t>(schedule.num_ops()), 0.0);
-  std::vector<bool> dup_free(static_cast<size_t>(schedule.num_ops()), false);
-  std::vector<std::vector<int>> atoms_below(
-      static_cast<size_t>(schedule.num_ops()));
-
-  for (int i = 0; i < schedule.num_ops(); ++i) {
-    const ScheduledOp& op = schedule.ops[static_cast<size_t>(i)];
-    const size_t si = static_cast<size_t>(i);
-    double bound = kInf;
-    switch (op.kind) {
-      case OpKind::kScan: {
-        const size_t ai = static_cast<size_t>(op.atom_index);
-        atoms_below[si] = {op.atom_index};
-        dup_free[si] = dbs.atom_dup_free[ai];
-        bound = dbs.atom_rows[ai];
-        if (dup_free[si]) {
-          bound = std::min(bound, DomainCap(op.out_attrs, dbs));
-        }
-        break;
-      }
-      case OpKind::kJoin: {
-        const size_t li = static_cast<size_t>(op.left_input);
-        const size_t ri = static_cast<size_t>(op.right_input);
-        atoms_below[si] = atoms_below[li];
-        atoms_below[si].insert(atoms_below[si].end(), atoms_below[ri].begin(),
-                               atoms_below[ri].end());
-        dup_free[si] = dup_free[li] && dup_free[ri];
-        bound = bounds[li] * bounds[ri];
-        if (dup_free[si]) {
-          // Set semantics below: the output is contained in the
-          // projection of the join of the atoms below it.
-          bound = std::min(
-              bound, GreedyCoverBound(op.out_attrs, atoms_below[si], dbs));
-          bound = std::min(bound, DomainCap(op.out_attrs, dbs));
-        }
-        break;
-      }
-      case OpKind::kProject: {
-        const size_t li = static_cast<size_t>(op.left_input);
-        atoms_below[si] = atoms_below[li];
-        dup_free[si] = true;  // ProjectColumns always deduplicates
-        // A projection's support set is contained in the set-semantics
-        // result regardless of input multiplicities, so the cover bound
-        // and the domain cap apply unconditionally.
-        bound = std::min(bounds[li],
-                         GreedyCoverBound(op.out_attrs, atoms_below[si], dbs));
-        bound = std::min(bound, DomainCap(op.out_attrs, dbs));
-        break;
-      }
-    }
-    bounds[si] = bound;
-    analysis.per_op.push_back(OpBound{op.arity(), bound});
-    analysis.max_intermediate_arity =
-        std::max(analysis.max_intermediate_arity, op.arity());
-    analysis.max_intermediate_rows_bound =
-        std::max(analysis.max_intermediate_rows_bound, bound);
-    analysis.tuples_produced_bound += bound;
-  }
-
-  analysis.decomposition_width = analysis.max_intermediate_arity - 1;
-  analysis.treewidth_lower_bound = MmdLowerBound(BuildJoinGraph(query));
-  return analysis;
+  return AnalyzeSchedule(query, BuildSchedule(query, plan), db);
 }
 
 Status NodeBoundsPreOrder(const ConjunctiveQuery& query, const Plan& plan,
                           const Database& db,
                           std::vector<PlanNodeBound>* bounds) {
-  StaticAnalysis analysis = AnalyzePlan(query, plan, db);
+  if (plan.empty()) return Status::InvalidArgument("empty plan");
+  const OpSchedule schedule = BuildSchedule(query, plan);
+  StaticAnalysis analysis = AnalyzeSchedule(query, schedule, db);
   if (!analysis.status.ok()) return analysis.status;
 
   std::unordered_map<const PlanNode*, int32_t> index;
@@ -246,10 +328,9 @@ Status NodeBoundsPreOrder(const ConjunctiveQuery& query, const Plan& plan,
   MapPreOrder(plan.root(), &next, &index);
   bounds->assign(index.size(), PlanNodeBound{});
 
-  // The schedule aligns 1:1 with AnalyzePlan::per_op and each scheduled
-  // operator points at its logical node; fold the per-operator bounds to
-  // per-node maxima.
-  const OpSchedule schedule = BuildSchedule(query, plan);
+  // per_op aligns 1:1 with the schedule and each scheduled operator
+  // points at its logical node; fold the per-operator bounds to per-node
+  // maxima.
   PPR_CHECK(schedule.num_ops() ==
             static_cast<int>(analysis.per_op.size()));
   for (int i = 0; i < schedule.num_ops(); ++i) {

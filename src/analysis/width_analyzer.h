@@ -45,16 +45,8 @@ struct StaticAnalysis {
   /// Per-operator bounds, in schedule (budget-charge) order.
   std::vector<OpBound> per_op;
 
-  /// Width of the tree decomposition induced by the plan's working
-  /// labels (Algorithm 1) = max_intermediate_arity - 1 for a valid plan.
-  int decomposition_width = 0;
-
-  /// Maximum-minimum-degree lower bound on the join graph's treewidth.
-  /// Theorem 1 gives best-achievable arity = tw + 1, so any valid plan
-  /// satisfies max_intermediate_arity >= treewidth_lower_bound + 1.
-  int treewidth_lower_bound = 0;
-
-  /// Human-readable summary (arity, bounds, width cross-check).
+  /// Human-readable summary (max arity and the two row bounds). The
+  /// treewidth cross-check is CrossCheckWidth's, not part of this result.
   std::string ToString() const;
 };
 
@@ -70,6 +62,16 @@ struct StaticAnalysis {
 /// stored relation below is duplicate-free, the product of per-attribute
 /// active-domain sizes (for DISTINCT projections, (c) applies
 /// unconditionally).
+///
+/// Cost: the plan is lowered once (BuildSchedule). Row counts,
+/// duplicate-freeness and per-column distinct counts are computed once
+/// per distinct stored relation per call — atoms sharing a relation
+/// share them — and nothing is cached across calls, so concurrent calls
+/// and Database::Put replacing a relation need no coordination. The
+/// schedule is post-order, so the atoms below an operator are the
+/// contiguous run of scans in its subtree; the greedy cover walks that
+/// run in schedule order. No treewidth bound is computed here:
+/// CrossCheckWidth computes and enforces it.
 StaticAnalysis AnalyzePlan(const ConjunctiveQuery& query, const Plan& plan,
                            const Database& db);
 
@@ -81,7 +83,9 @@ StaticAnalysis AnalyzePlan(const ConjunctiveQuery& query, const Plan& plan,
 /// trailing projection). `bounds` gets exactly Plan::NumNodes entries.
 /// An infinite row bound stays +infinity; arity bounds are always finite
 /// because arities are symbolic. This is the `node_bounds` verifier hook
-/// (exec/verify_hook.h) backing the predicted side of EXPLAIN ANALYZE.
+/// (exec/verify_hook.h) backing the predicted side of EXPLAIN ANALYZE;
+/// it lowers the plan once and folds AnalyzePlan's bounds over that one
+/// schedule.
 Status NodeBoundsPreOrder(const ConjunctiveQuery& query, const Plan& plan,
                           const Database& db,
                           std::vector<PlanNodeBound>* bounds);

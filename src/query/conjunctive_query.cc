@@ -11,6 +11,7 @@ namespace ppr {
 
 std::vector<AttrId> Atom::DistinctAttrs() const {
   std::vector<AttrId> out;
+  out.reserve(args.size());
   for (AttrId a : args) {
     if (std::find(out.begin(), out.end(), a) == out.end()) out.push_back(a);
   }

@@ -296,17 +296,14 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
                     out.GrowRows(reserve_rows));
   const Counter reserved_bytes = out.byte_size();
 
-  // Keys are hashed and compared in place, through strided views; `i`
-  // counts the rows whose key was probed and charged.
+  // Keys are hashed and compared in place, through strided views.
   const Value* const* cols = KeyColumns(input, spec.cols, ctx.arena());
-  int64_t i = 0;
+  int64_t probed = 0;
   if (!ctx.exhausted()) {
-    seen.InsertRows(cols, in_arity, 0, in_rows,
-                    [&](int64_t, int64_t, bool inserted) {
-                      if (inserted && !ctx.ChargeTuples(1)) return false;
-                      ++i;
-                      return true;
-                    });
+    probed = seen.InsertRows(cols, in_arity, 0, in_rows,
+                             [&](int64_t, int64_t, bool inserted) {
+                               return !inserted || ctx.ChargeTuples(1);
+                             });
   }
   out.TruncateRows(seen.num_keys());
 
@@ -316,7 +313,7 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
     rec.span().rows_out = out.size();
     rec.span().bytes = footprint;
     rec.span().ht_build_rows = out.size();  // distinct keys inserted
-    rec.span().ht_probe_ops = i;            // InsertOrFind per input row
+    rec.span().ht_probe_ops = probed;       // InsertOrFind per input row
   }
   ctx.stats().NotePeakBytes(footprint);
   ctx.stats().NoteIntermediate(out.arity(), out.size());

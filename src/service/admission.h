@@ -34,7 +34,8 @@ const char* AdmitDecisionName(AdmitDecision decision);
 ///    (burst = `quota_tokens`, refill = `quota_refill_per_sec`). Zero
 ///    tokens disables the gate.
 ///  * Tuple-budget headroom: the sum of the predicted tuple bounds
-///    (AnalyzePlan's tuples_produced_bound, the AGM-style static cost)
+///    (AnalyzePlan's tuples_produced_bound, the AGM-style static cost
+///    the plan cache computes once per compiled plan, on the miss path)
 ///    of all admitted-but-unfinished requests must stay within
 ///    `max_inflight_tuple_bound`. A request whose bound alone exceeds
 ///    the headroom is *rejected* (it can never fit); one that merely

@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/physical_verifier.h"
@@ -346,6 +352,240 @@ TEST(WidthAnalyzerTest, SufficientBudgetNeverExhausts) {
   const Counter budget =
       static_cast<Counter>(analysis.tuples_produced_bound) + 1;
   EXPECT_TRUE(ExecutePlan(q, plan, db, budget).status.ok());
+}
+
+// Test-only reference analyzer: the straightforward form of AnalyzePlan's
+// bounds — statistics recomputed per atom, each operator's atoms below as
+// its own concatenated vector, covers over a std::set — the oracle the
+// optimized analyzer must match bit for bit. Requires a valid plan.
+StaticAnalysis ReferenceAnalyze(const ConjunctiveQuery& query,
+                                const Plan& plan, const Database& db) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const OpSchedule schedule = BuildSchedule(query, plan);
+  PPR_CHECK(ValidateSchedule(query, schedule).ok());
+
+  std::vector<double> atom_rows;
+  std::vector<bool> atom_dup_free;
+  std::vector<std::vector<AttrId>> atom_attrs;
+  AttrId max_attr = -1;
+  for (const Atom& atom : query.atoms()) {
+    for (AttrId a : atom.args) max_attr = std::max(max_attr, a);
+  }
+  std::vector<double> attr_domain(static_cast<size_t>(max_attr + 1), kInf);
+  for (const Atom& atom : query.atoms()) {
+    const Relation& rel = **db.Get(atom.relation);
+    atom_rows.push_back(static_cast<double>(rel.size()));
+    std::set<std::vector<Value>> rows;
+    for (int64_t i = 0; i < rel.size(); ++i) {
+      rows.emplace(rel.row(i).begin(), rel.row(i).end());
+    }
+    atom_dup_free.push_back(static_cast<int64_t>(rows.size()) == rel.size());
+    std::vector<AttrId> attrs = atom.DistinctAttrs();
+    std::sort(attrs.begin(), attrs.end());
+    atom_attrs.push_back(std::move(attrs));
+    for (size_t c = 0; c < atom.args.size(); ++c) {
+      std::unordered_set<Value> values;
+      for (int64_t i = 0; i < rel.size(); ++i) {
+        values.insert(rel.at(i, static_cast<int>(c)));
+      }
+      double& dom = attr_domain[static_cast<size_t>(atom.args[c])];
+      dom = std::min(dom, static_cast<double>(values.size()));
+    }
+  }
+  const auto cover = [&](const std::vector<AttrId>& out,
+                         const std::vector<int>& atoms) {
+    std::set<AttrId> remaining(out.begin(), out.end());
+    double bound = 1.0;
+    while (!remaining.empty()) {
+      int best = -1;
+      int best_covered = 0;
+      for (int ai : atoms) {
+        int covered = 0;
+        for (AttrId a : atom_attrs[static_cast<size_t>(ai)]) {
+          covered += remaining.count(a) > 0 ? 1 : 0;
+        }
+        if (covered > best_covered ||
+            (covered == best_covered && covered > 0 &&
+             atom_rows[static_cast<size_t>(ai)] <
+                 atom_rows[static_cast<size_t>(best)])) {
+          best = ai;
+          best_covered = covered;
+        }
+      }
+      if (best < 0) return kInf;
+      bound *= atom_rows[static_cast<size_t>(best)];
+      for (AttrId a : atom_attrs[static_cast<size_t>(best)]) {
+        remaining.erase(a);
+      }
+    }
+    return bound;
+  };
+  const auto domain_cap = [&](const std::vector<AttrId>& attrs) {
+    double cap = 1.0;
+    for (AttrId a : attrs) cap *= attr_domain[static_cast<size_t>(a)];
+    return cap;
+  };
+
+  StaticAnalysis analysis;
+  const size_t n = static_cast<size_t>(schedule.num_ops());
+  std::vector<double> bounds(n, 0.0);
+  std::vector<bool> dup_free(n, false);
+  std::vector<std::vector<int>> atoms_below(n);
+  for (size_t i = 0; i < n; ++i) {
+    const ScheduledOp& op = schedule.ops[i];
+    const size_t li = static_cast<size_t>(op.left_input);
+    const size_t ri = static_cast<size_t>(op.right_input);
+    double bound = kInf;
+    switch (op.kind) {
+      case OpKind::kScan:
+        atoms_below[i] = {op.atom_index};
+        dup_free[i] = atom_dup_free[static_cast<size_t>(op.atom_index)];
+        bound = atom_rows[static_cast<size_t>(op.atom_index)];
+        if (dup_free[i]) bound = std::min(bound, domain_cap(op.out_attrs));
+        break;
+      case OpKind::kJoin:
+        atoms_below[i] = atoms_below[li];
+        atoms_below[i].insert(atoms_below[i].end(), atoms_below[ri].begin(),
+                              atoms_below[ri].end());
+        dup_free[i] = dup_free[li] && dup_free[ri];
+        bound = bounds[li] * bounds[ri];
+        if (dup_free[i]) {
+          bound = std::min(bound, cover(op.out_attrs, atoms_below[i]));
+          bound = std::min(bound, domain_cap(op.out_attrs));
+        }
+        break;
+      case OpKind::kProject:
+        atoms_below[i] = atoms_below[li];
+        dup_free[i] = true;
+        bound = std::min(bounds[li], cover(op.out_attrs, atoms_below[i]));
+        bound = std::min(bound, domain_cap(op.out_attrs));
+        break;
+    }
+    bounds[i] = bound;
+    analysis.per_op.push_back(OpBound{op.arity(), bound});
+    analysis.max_intermediate_arity =
+        std::max(analysis.max_intermediate_arity, op.arity());
+    analysis.max_intermediate_rows_bound =
+        std::max(analysis.max_intermediate_rows_bound, bound);
+    analysis.tuples_produced_bound += bound;
+  }
+  return analysis;
+}
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+// AnalyzePlan equals ReferenceAnalyze bit for bit on `plan`.
+void ExpectSameBounds(const ConjunctiveQuery& q, const Plan& plan,
+                      const Database& db) {
+  const StaticAnalysis got = AnalyzePlan(q, plan, db);
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  const StaticAnalysis want = ReferenceAnalyze(q, plan, db);
+  ASSERT_EQ(got.per_op.size(), want.per_op.size());
+  for (size_t i = 0; i < want.per_op.size(); ++i) {
+    EXPECT_EQ(got.per_op[i].arity, want.per_op[i].arity) << "op " << i;
+    EXPECT_EQ(Bits(got.per_op[i].size_bound), Bits(want.per_op[i].size_bound))
+        << "op " << i << ": " << got.per_op[i].size_bound << " vs "
+        << want.per_op[i].size_bound;
+  }
+  EXPECT_EQ(Bits(got.max_intermediate_rows_bound),
+            Bits(want.max_intermediate_rows_bound));
+  EXPECT_EQ(Bits(got.tuples_produced_bound), Bits(want.tuples_produced_bound));
+  EXPECT_EQ(got.max_intermediate_arity, want.max_intermediate_arity);
+}
+
+// ExpectSameBounds under every strategy's plan for `q`.
+void ExpectMatchesReference(const ConjunctiveQuery& q, const Database& db,
+                            int seed) {
+  for (StrategyKind kind : AllStrategies()) {
+    SCOPED_TRACE(StrategyName(kind));
+    ExpectSameBounds(q, BuildStrategyPlan(kind, q, seed), db);
+  }
+}
+
+Relation BinaryRelation(std::initializer_list<std::pair<Value, Value>> rows) {
+  Relation rel{Schema({0, 1})};
+  for (const auto& [a, b] : rows) rel.AddTuple({a, b});
+  return rel;
+}
+
+TEST(WidthAnalyzerTest, MatchesReferenceAnalyzer) {
+  Rng rng(29);
+  {
+    SCOPED_TRACE("3-COLOR");
+    const Database db = ThreeColorDb();
+    for (int n : {6, 9, 12}) {
+      const Graph g = ConnectedRandomGraph(n, n + 5, rng);
+      ExpectMatchesReference(KColorQuery(g), db, n);
+      ExpectMatchesReference(KColorQueryNonBoolean(g, 0.2, rng), db, n);
+    }
+  }
+  {
+    SCOPED_TRACE("3-SAT");
+    Database db;
+    AddSatRelations(3, &db);
+    for (int trial = 0; trial < 4; ++trial) {
+      const Cnf cnf = RandomKSat(8, 12, 3, rng);
+      ExpectMatchesReference(SatQuery(cnf), db, trial);
+      ExpectMatchesReference(SatQueryNonBoolean(cnf, 0.2, rng), db, trial);
+    }
+  }
+  {
+    SCOPED_TRACE("duplicate rows");
+    Relation edge = ColoringEdgeRelation(3);
+    edge.AddTuple({1, 2});
+    Database db;
+    db.Put(kEdgeRelationName, std::move(edge));
+    const Graph g = ConnectedRandomGraph(9, 14, rng);
+    ExpectMatchesReference(KColorQuery(g), db, 3);
+    ExpectMatchesReference(KColorQueryNonBoolean(g, 0.3, rng), db, 3);
+  }
+  {
+    // Two relations with different sizes, domains and duplicate-freeness
+    // read by alternating atoms: statistics shared per relation must
+    // never cross between them.
+    SCOPED_TRACE("interleaved relations");
+    Database db;
+    db.Put("r", ColoringEdgeRelation(3));
+    db.Put("s", BinaryRelation({{1, 1}, {1, 2}, {1, 3}, {2, 1}, {2, 1}}));
+    db.Put("t", BinaryRelation({{1, 2}, {2, 3}, {3, 4}, {4, 1}}));
+    std::vector<Atom> atoms;
+    const char* names[] = {"r", "t", "r", "s", "t", "r", "t", "s"};
+    for (int i = 0; i < 8; ++i) {
+      atoms.push_back(Atom{names[i], {i, (i + 1) % 8}});
+    }
+    atoms.push_back(Atom{"t", {0, 4}});
+    atoms.push_back(Atom{"r", {2, 6}});
+    ExpectMatchesReference(ConjunctiveQuery(atoms, {}), db, 1);
+    ExpectMatchesReference(ConjunctiveQuery(atoms, {0, 3, 5}), db, 2);
+    // An atom wider than its stored relation is refused, not read past
+    // the relation's columns.
+    const ConjunctiveQuery wide({Atom{"r", {0, 1, 2}}}, {});
+    EXPECT_EQ(AnalyzePlan(wide, StraightforwardPlan(wide), db).status.code(),
+              StatusCode::kInvalidArgument);
+  }
+  {
+    // Equal-size atoms: a and b tie on coverage and size. Covering
+    // {x0,x1,x2} with a first (schedule order) leaves x2 to the 2-row c,
+    // 4 * 2; b first would leave x0 to a, 4 * 4, since d is larger.
+    SCOPED_TRACE("greedy ties");
+    Database db;
+    db.Put("a", BinaryRelation({{1, 1}, {2, 2}, {3, 3}, {4, 4}}));
+    db.Put("b", BinaryRelation({{1, 1}, {2, 2}, {3, 3}, {4, 4}}));
+    db.Put("c", BinaryRelation({{1, 1}, {2, 2}}));
+    db.Put("d", BinaryRelation({{1, 1}, {1, 2}, {1, 3}, {2, 1}, {2, 2},
+                                {2, 3}, {3, 1}, {3, 2}, {3, 3}}));
+    const ConjunctiveQuery q({Atom{"a", {0, 1}}, Atom{"b", {1, 2}},
+                              Atom{"c", {2, 3}}, Atom{"d", {0, 4}}},
+                             {0, 1, 2});
+    std::vector<std::unique_ptr<PlanNode>> leaves;
+    for (int i = 0; i < 4; ++i) leaves.push_back(MakeLeaf(q, i));
+    const Plan plan(MakeJoin(std::move(leaves), {0, 1, 2}));
+    ExpectSameBounds(q, plan, db);
+    const StaticAnalysis analysis = AnalyzePlan(q, plan, db);
+    ASSERT_EQ(analysis.per_op.size(), 8u);
+    EXPECT_EQ(analysis.per_op.back().size_bound, 8.0);
+    ExpectMatchesReference(q, db, 1);
+  }
 }
 
 TEST(WidthAnalyzerTest, CrossCheckAcceptsStrategiesAndTracksTheory) {

@@ -551,8 +551,7 @@ class InPlaceProjectTest : public ::testing::Test {
   // How a kernel's project spans count probes when the budget stops it
   // at row `stop` (-1: not stopped).
   enum class Probes {
-    kRowsBeforeStop,   // row kernel: the rows probed and charged
-    kRowsThroughStop,  // single morsel: every row probed
+    kRowsThroughStop,  // row and single morsel: every row probed
     kAllRows,          // multi-morsel: phase A probes every row; the
                        // budget stops only the merge
   };
@@ -592,7 +591,6 @@ class InPlaceProjectTest : public ::testing::Test {
       const int64_t stop =
           d >= headroom ? first_row_[static_cast<size_t>(headroom - 1)] : -1;
       int64_t want_probes = kRows;
-      if (stop >= 0 && probes == Probes::kRowsBeforeStop) want_probes = stop;
       if (stop >= 0 && probes == Probes::kRowsThroughStop) {
         want_probes = stop + 1;
       }
@@ -628,7 +626,7 @@ Relation ColumnarProject(const Relation& in, const ProjectSpec& spec,
 }
 
 TEST_F(InPlaceProjectTest, RowKernelAtBudgetBoundary) {
-  Check(&RowProject, nullptr, kRows, Probes::kRowsBeforeStop, "row");
+  Check(&RowProject, nullptr, kRows, Probes::kRowsThroughStop, "row");
 }
 
 TEST_F(InPlaceProjectTest, ColumnarSingleMorselAtBudgetBoundary) {
