@@ -1,9 +1,11 @@
 #include "analysis/verifier.h"
 
 #include <sstream>
+#include <utility>
 
 #include "analysis/physical_verifier.h"
 #include "analysis/plan_verifier.h"
+#include "analysis/width_analyzer_internal.h"
 #include "analysis/semantic/certify.h"
 #include "common/env.h"
 #include "exec/verify_hook.h"
@@ -43,8 +45,11 @@ PlanVerdict VerifyPlan(const ConjunctiveQuery& query, const Plan& plan,
     verdict.analysis.status = Status::InvalidArgument(kSkipped);
     return verdict;
   }
-  verdict.width = CrossCheckWidth(query, plan);
-  verdict.analysis = AnalyzePlan(query, plan, db);
+  // CrossCheckWidth and AnalyzePlan over one lowering of the plan.
+  analysis_internal::WidthAndAnalysis checked =
+      analysis_internal::CrossCheckAndAnalyzePlan(query, plan, db);
+  verdict.width = std::move(checked.width);
+  verdict.analysis = std::move(checked.analysis);
   return verdict;
 }
 

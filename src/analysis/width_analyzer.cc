@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/schedule.h"
+#include "analysis/width_analyzer_internal.h"
 #include "common/check.h"
 #include "core/theory.h"
 #include "graph/tree_decomposition.h"
@@ -179,14 +180,23 @@ double DomainCap(const std::vector<AttrId>& attrs, const DbStats& db) {
   return cap;
 }
 
-// AnalyzePlan over an already-lowered schedule of a non-empty plan.
+// Lowers a non-empty plan and validates the schedule: the first step of
+// AnalyzePlan, CrossCheckWidth and NodeBoundsPreOrder alike.
+Result<OpSchedule> LowerPlan(const ConjunctiveQuery& query,
+                             const Plan& plan) {
+  if (plan.empty()) return Status::InvalidArgument("empty plan");
+  OpSchedule schedule = BuildSchedule(query, plan);
+  if (Status valid = ValidateSchedule(query, schedule); !valid.ok()) {
+    return valid;
+  }
+  return schedule;
+}
+
+// AnalyzePlan over a schedule LowerPlan returned.
 StaticAnalysis AnalyzeSchedule(const ConjunctiveQuery& query,
                                const OpSchedule& schedule,
                                const Database& db) {
   StaticAnalysis analysis;
-  analysis.status = ValidateSchedule(query, schedule);
-  if (!analysis.status.ok()) return analysis;
-
   Result<DbStats> stats = CollectDbStats(query, db);
   if (!stats.ok()) {
     analysis.status = stats.status();
@@ -307,19 +317,21 @@ std::string StaticAnalysis::ToString() const {
 
 StaticAnalysis AnalyzePlan(const ConjunctiveQuery& query, const Plan& plan,
                            const Database& db) {
-  if (plan.empty()) {
+  Result<OpSchedule> schedule = LowerPlan(query, plan);
+  if (!schedule.ok()) {
     StaticAnalysis analysis;
-    analysis.status = Status::InvalidArgument("empty plan");
+    analysis.status = schedule.status();
     return analysis;
   }
-  return AnalyzeSchedule(query, BuildSchedule(query, plan), db);
+  return AnalyzeSchedule(query, *schedule, db);
 }
 
 Status NodeBoundsPreOrder(const ConjunctiveQuery& query, const Plan& plan,
                           const Database& db,
                           std::vector<PlanNodeBound>* bounds) {
-  if (plan.empty()) return Status::InvalidArgument("empty plan");
-  const OpSchedule schedule = BuildSchedule(query, plan);
+  Result<OpSchedule> lowered = LowerPlan(query, plan);
+  if (!lowered.ok()) return lowered.status();
+  const OpSchedule& schedule = *lowered;
   StaticAnalysis analysis = AnalyzeSchedule(query, schedule, db);
   if (!analysis.status.ok()) return analysis.status;
 
@@ -347,14 +359,11 @@ Status NodeBoundsPreOrder(const ConjunctiveQuery& query, const Plan& plan,
   return Status::Ok();
 }
 
-Status CrossCheckWidth(const ConjunctiveQuery& query, const Plan& plan) {
-  if (plan.empty()) {
-    return Status::InvalidArgument("empty plan");
-  }
-  const OpSchedule schedule = BuildSchedule(query, plan);
-  Status valid = ValidateSchedule(query, schedule);
-  if (!valid.ok()) return valid;
+namespace {
 
+// CrossCheckWidth over a schedule LowerPlan returned.
+Status CrossCheckSchedule(const ConjunctiveQuery& query, const Plan& plan,
+                          const OpSchedule& schedule) {
   int max_arity = 0;
   for (const ScheduledOp& op : schedule.ops) {
     max_arity = std::max(max_arity, op.arity());
@@ -411,6 +420,33 @@ Status CrossCheckWidth(const ConjunctiveQuery& query, const Plan& plan) {
   }
   return Status::Ok();
 }
+
+}  // namespace
+
+Status CrossCheckWidth(const ConjunctiveQuery& query, const Plan& plan) {
+  Result<OpSchedule> schedule = LowerPlan(query, plan);
+  if (!schedule.ok()) return schedule.status();
+  return CrossCheckSchedule(query, plan, *schedule);
+}
+
+namespace analysis_internal {
+
+WidthAndAnalysis CrossCheckAndAnalyzePlan(const ConjunctiveQuery& query,
+                                          const Plan& plan,
+                                          const Database& db) {
+  WidthAndAnalysis out;
+  Result<OpSchedule> schedule = LowerPlan(query, plan);
+  if (!schedule.ok()) {
+    out.width = schedule.status();
+    out.analysis.status = schedule.status();
+    return out;
+  }
+  out.width = CrossCheckSchedule(query, plan, *schedule);
+  out.analysis = AnalyzeSchedule(query, *schedule, db);
+  return out;
+}
+
+}  // namespace analysis_internal
 
 Status CheckWidthGuarantee(const ConjunctiveQuery& query, const Plan& plan,
                            int claimed_width) {

@@ -1,7 +1,9 @@
 #include "query/parser.h"
 
+#include <algorithm>
 #include <cctype>
-#include <map>
+#include <string_view>
+#include <unordered_map>
 
 namespace ppr {
 
@@ -14,20 +16,18 @@ std::string ParsedQuery::NameOf(AttrId a) const {
 
 namespace {
 
-// Minimal recursive-descent parser over a hand-rolled tokenizer.
+// Minimal recursive-descent parser; tokens are views of the text.
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   Result<ParsedQuery> Run() {
     SkipSpace();
     // Optional projection head.
-    std::vector<std::string> head;
-    bool has_head = false;
+    std::vector<std::string_view> head;
     const size_t mark = pos_;
-    std::string word;
-    if (PeekIdentifier(&word) && word == "pi") {
-      ConsumeIdentifier();
+    if (PeekIdentifier() == "pi") {
+      pos_ += 2;
       SkipSpace();
       if (!Consume('{')) {
         // "pi" not followed by '{' is an ordinary relation name.
@@ -35,12 +35,11 @@ class Parser {
       }
     }
     if (pos_ != mark) {
-      has_head = true;
       SkipSpace();
       if (!Consume('}')) {
         for (;;) {
-          std::string var;
-          if (!ConsumeIdentifierInto(&var)) {
+          const std::string_view var = ConsumeIdentifier();
+          if (var.empty()) {
             return Error("expected variable name in projection head");
           }
           head.push_back(var);
@@ -53,40 +52,39 @@ class Parser {
           return Error("expected ',' or '}' in projection head");
         }
       }
-    } else {
-      pos_ = mark;
     }
 
-    // Atom list.
+    // Atom list. Variable ids are dense in order of first appearance; the
+    // map's keys view the text.
     ParsedQuery out;
-    std::map<std::string, AttrId> ids;
-    auto id_of = [&](const std::string& name) {
-      auto it = ids.find(name);
-      if (it != ids.end()) return it->second;
-      const AttrId id = static_cast<AttrId>(out.var_names.size());
-      ids.emplace(name, id);
-      out.var_names.push_back(name);
-      return id;
+    std::unordered_map<std::string_view, AttrId> ids;
+    auto intern = [&](std::string_view name) {
+      const auto [it, added] =
+          ids.try_emplace(name, static_cast<AttrId>(out.var_names.size()));
+      if (added) out.var_names.emplace_back(name);
+      return it->second;
     };
-
+    // Every atom has one '(', so counting them sizes the atom vector once;
+    // each atom's arguments collect in `args` and are copied out at their
+    // exact size.
+    std::vector<Atom> atoms;
+    atoms.reserve(static_cast<size_t>(
+        std::count(text_.begin() + static_cast<std::ptrdiff_t>(pos_),
+                   text_.end(), '(')));
+    std::vector<AttrId> args;
     for (;;) {
       SkipSpace();
-      std::string relation;
-      if (!ConsumeIdentifierInto(&relation)) {
-        return Error("expected relation name");
-      }
+      const std::string_view relation = ConsumeIdentifier();
+      if (relation.empty()) return Error("expected relation name");
       SkipSpace();
       if (!Consume('(')) return Error("expected '(' after relation name");
-      Atom atom;
-      atom.relation = relation;
+      args.clear();
       SkipSpace();
       if (!Consume(')')) {
         for (;;) {
-          std::string var;
-          if (!ConsumeIdentifierInto(&var)) {
-            return Error("expected variable name in atom");
-          }
-          atom.args.push_back(id_of(var));
+          const std::string_view var = ConsumeIdentifier();
+          if (var.empty()) return Error("expected variable name in atom");
+          args.push_back(intern(var));
           SkipSpace();
           if (Consume(',')) {
             SkipSpace();
@@ -96,8 +94,8 @@ class Parser {
           return Error("expected ',' or ')' in atom");
         }
       }
-      if (atom.args.empty()) return Error("atom needs at least one variable");
-      out.query.AddAtom(std::move(atom));
+      if (args.empty()) return Error("atom needs at least one variable");
+      atoms.push_back(Atom{std::string(relation), args});
       SkipSpace();
       if (Consume('&') || Consume(',')) continue;
       if (pos_ == text_.size()) break;
@@ -106,22 +104,24 @@ class Parser {
 
     // Resolve the head against the variables seen in atoms.
     std::vector<AttrId> free_vars;
-    for (const std::string& name : head) {
-      auto it = ids.find(name);
+    free_vars.reserve(head.size());
+    std::vector<bool> in_head(out.var_names.size(), false);
+    for (const std::string_view name : head) {
+      const auto it = ids.find(name);
       if (it == ids.end()) {
-        return Status::InvalidArgument("projection variable '" + name +
+        return Status::InvalidArgument("projection variable '" +
+                                       std::string(name) +
                                        "' does not occur in any atom");
       }
-      for (AttrId existing : free_vars) {
-        if (existing == it->second) {
-          return Status::InvalidArgument("duplicate projection variable '" +
-                                         name + "'");
-        }
+      const AttrId id = it->second;
+      if (in_head[static_cast<size_t>(id)]) {
+        return Status::InvalidArgument("duplicate projection variable '" +
+                                       std::string(name) + "'");
       }
-      free_vars.push_back(it->second);
+      in_head[static_cast<size_t>(id)] = true;
+      free_vars.push_back(id);
     }
-    (void)has_head;
-    out.query.SetFreeVars(std::move(free_vars));
+    out.query = ConjunctiveQuery(std::move(atoms), std::move(free_vars));
     return out;
   }
 
@@ -153,34 +153,27 @@ class Parser {
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
   }
 
-  bool PeekIdentifier(std::string* out) const {
-    size_t p = pos_;
-    if (p >= text_.size() || !IsIdentStart(text_[p])) return false;
-    std::string word;
-    while (p < text_.size() && IsIdentChar(text_[p])) word += text_[p++];
-    *out = word;
-    return true;
+  // The identifier at pos_, or an empty view when there is none.
+  std::string_view PeekIdentifier() const {
+    if (pos_ >= text_.size() || !IsIdentStart(text_[pos_])) return {};
+    size_t end = pos_ + 1;
+    while (end < text_.size() && IsIdentChar(text_[end])) ++end;
+    return text_.substr(pos_, end - pos_);
   }
 
-  void ConsumeIdentifier() {
-    while (pos_ < text_.size() && IsIdentChar(text_[pos_])) ++pos_;
-  }
-
-  bool ConsumeIdentifierInto(std::string* out) {
-    std::string word;
-    if (!PeekIdentifier(&word)) return false;
+  std::string_view ConsumeIdentifier() {
+    const std::string_view word = PeekIdentifier();
     pos_ += word.size();
-    *out = word;
-    return true;
+    return word;
   }
 
-  const std::string& text_;
+  const std::string_view text_;
   size_t pos_ = 0;
 };
 
 }  // namespace
 
-Result<ParsedQuery> ParseQuery(const std::string& text) {
+Result<ParsedQuery> ParseQuery(std::string_view text) {
   return Parser(text).Run();
 }
 

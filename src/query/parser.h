@@ -2,6 +2,7 @@
 #define PPR_QUERY_PARSER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -27,9 +28,13 @@ struct ParsedQuery {
 /// query), then atoms `name(vars...)` separated by `&` or `,`. Variable
 /// names are identifiers ([A-Za-z_][A-Za-z0-9_]*) assigned dense attribute
 /// ids in order of first appearance *in the atom list*; head variables
-/// must occur in some atom. Relation names share the identifier syntax. Returns InvalidArgument with a position-annotated message on
+/// must occur in some atom. Relation names share the identifier syntax.
+/// Returns InvalidArgument with a position-annotated message on
 /// malformed input (unknown head variables, missing parentheses, ...).
-Result<ParsedQuery> ParseQuery(const std::string& text);
+/// Tokens are views of `text` and variables resolve through a hash table
+/// keyed by those views, so the expected cost is linear in the text's
+/// length.
+Result<ParsedQuery> ParseQuery(std::string_view text);
 
 }  // namespace ppr
 

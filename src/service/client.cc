@@ -47,16 +47,17 @@ void ServiceClient::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+  reader_ = FrameReader();
 }
 
 Result<ServiceReply> ServiceClient::Call(const ServiceRequest& request) {
   if (fd_ < 0) return Status::Internal("client is not connected");
-  if (Status sent = SendFrame(fd_, EncodeRequestFrame(request)); !sent.ok()) {
-    return sent;
-  }
+  send_buf_.clear();
+  AppendRequestFrame(&send_buf_, request);
+  if (Status sent = SendFrame(fd_, send_buf_); !sent.ok()) return sent;
 
   // Header first.
-  Result<std::string> body = RecvFrame(fd_);
+  Result<std::string_view> body = reader_.Next(fd_);
   if (!body.ok()) return body.status();
   Result<Frame> frame = DecodeFrameBody(*body);
   if (!frame.ok()) return frame.status();
@@ -90,7 +91,7 @@ Result<ServiceReply> ServiceClient::Call(const ServiceRequest& request) {
 
   // Row batches until the trailer.
   while (true) {
-    body = RecvFrame(fd_);
+    body = reader_.Next(fd_);
     if (!body.ok()) return body.status();
     frame = DecodeFrameBody(*body);
     if (!frame.ok()) return frame.status();

@@ -21,11 +21,15 @@ class ServiceClient {
   ~ServiceClient() { Close(); }
 
   ServiceClient(ServiceClient&& other) noexcept
-      : fd_(std::exchange(other.fd_, -1)) {}
+      : fd_(std::exchange(other.fd_, -1)),
+        reader_(std::move(other.reader_)),
+        send_buf_(std::move(other.send_buf_)) {}
   ServiceClient& operator=(ServiceClient&& other) noexcept {
     if (this != &other) {
       Close();
       fd_ = std::exchange(other.fd_, -1);
+      reader_ = std::move(other.reader_);
+      send_buf_ = std::move(other.send_buf_);
     }
     return *this;
   }
@@ -39,7 +43,8 @@ class ServiceClient {
 
   /// Sends `request` and reads the full response (header, row batches,
   /// trailer) into a ServiceReply — the same struct in-process callers
-  /// get, which is what the byte-identity checks compare. An error
+  /// get, which is what the byte-identity checks compare. The request is
+  /// one send; a small response is usually one recv. An error
   /// Status means the *transport or protocol* failed; service-level
   /// refusals (shed, rejected, deadline) are OK results with the
   /// corresponding ServiceStatus.
@@ -49,6 +54,10 @@ class ServiceClient {
   explicit ServiceClient(int fd) : fd_(fd) {}
 
   int fd_ = -1;
+  /// Buffers the connection's reply bytes across frames.
+  FrameReader reader_;
+  /// Reused encoding buffer for request frames.
+  std::string send_buf_;
 };
 
 }  // namespace ppr

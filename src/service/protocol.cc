@@ -3,6 +3,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
@@ -11,20 +13,25 @@
 namespace ppr {
 namespace {
 
+// Row batches carry a relation's row-major Values byte for byte, so the
+// host's Value layout must be the wire's: 32-bit little-endian.
+static_assert(std::endian::native == std::endian::little &&
+              sizeof(Value) == 4);
+
 void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
 }
 
 void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char bytes[4];
+  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  out->append(bytes, sizeof(bytes));
 }
 
 void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  out->append(bytes, sizeof(bytes));
 }
 
 void PutI32(std::string* out, int32_t v) { PutU32(out, static_cast<uint32_t>(v)); }
@@ -33,6 +40,14 @@ void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v))
 void PutString(std::string* out, const std::string& s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
+}
+
+uint32_t LoadU32(const char* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return v;
 }
 
 /// Bounds-checked little-endian reader over a payload view.
@@ -48,10 +63,7 @@ class Cursor {
 
   bool ReadU32(uint32_t* v) {
     if (pos_ + 4 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-    }
+    *v = LoadU32(data_.data() + pos_);
     pos_ += 4;
     return true;
   }
@@ -97,21 +109,23 @@ class Cursor {
   size_t pos_ = 0;
 };
 
-/// Starts a frame: reserves the length word and writes type + id.
-/// FinishFrame backpatches the length once the payload is appended.
-std::string BeginFrame(FrameType type, uint64_t request_id) {
-  std::string out;
-  PutU32(&out, 0);  // length placeholder
-  PutU8(&out, static_cast<uint8_t>(type));
-  PutU64(&out, request_id);
-  return out;
+/// Starts a frame at the end of `out`: reserves the length word and
+/// writes type + id. Returns the frame's offset, which FinishFrame takes
+/// to backpatch the length once the payload is appended.
+size_t BeginFrame(std::string* out, FrameType type, uint64_t request_id) {
+  const size_t start = out->size();
+  PutU32(out, 0);  // length placeholder
+  PutU8(out, static_cast<uint8_t>(type));
+  PutU64(out, request_id);
+  return start;
 }
 
-void FinishFrame(std::string* frame) {
-  const uint32_t body = static_cast<uint32_t>(frame->size() - 4);
+void FinishFrame(std::string* out, size_t start) {
+  const uint32_t body = static_cast<uint32_t>(out->size() - start - 4);
   PPR_CHECK(body <= kMaxFrameBytes);
   for (int i = 0; i < 4; ++i) {
-    (*frame)[static_cast<size_t>(i)] = static_cast<char>((body >> (8 * i)) & 0xff);
+    (*out)[start + static_cast<size_t>(i)] =
+        static_cast<char>((body >> (8 * i)) & 0xff);
   }
 }
 
@@ -131,60 +145,83 @@ const char* ServiceStatusName(ServiceStatus status) {
   return "unknown";
 }
 
+void AppendRequestFrame(std::string* out, const ServiceRequest& request) {
+  const size_t start = BeginFrame(out, FrameType::kRequest, request.request_id);
+  PutU64(out, request.client_id);
+  PutI32(out, request.strategy);
+  PutU64(out, request.seed);
+  PutU64(out, request.tuple_budget);
+  PutU32(out, request.deadline_ms);
+  PutString(out, request.query_text);
+  FinishFrame(out, start);
+}
+
+void AppendReplyHeaderFrame(std::string* out, uint64_t request_id,
+                            const ReplyHeader& header) {
+  const size_t start = BeginFrame(out, FrameType::kReplyHeader, request_id);
+  PutU8(out, static_cast<uint8_t>(header.status));
+  PutI32(out, header.status_code);
+  PutU8(out, header.cache_hit ? 1 : 0);
+  PutI32(out, header.predicted_width);
+  PutU32(out, static_cast<uint32_t>(header.attrs.size()));
+  for (const AttrId attr : header.attrs) PutI32(out, attr);
+  PutString(out, header.message);
+  FinishFrame(out, start);
+}
+
+void AppendRowBatchFrame(std::string* out, uint64_t request_id,
+                         const Relation& rows, int64_t first, int64_t count) {
+  PPR_CHECK(rows.arity() > 0 && first >= 0 && count >= 0 &&
+            first + count <= rows.size());
+  const size_t start = BeginFrame(out, FrameType::kRowBatch, request_id);
+  PutU32(out, static_cast<uint32_t>(count));
+  // Rows are row-major Values, already in wire order: one copy.
+  const int64_t arity = rows.arity();
+  out->append(reinterpret_cast<const char*>(rows.data() + first * arity),
+              static_cast<size_t>(count * arity) * sizeof(Value));
+  FinishFrame(out, start);
+}
+
+void AppendTrailerFrame(std::string* out, uint64_t request_id,
+                        const ReplyTrailer& trailer) {
+  const size_t start = BeginFrame(out, FrameType::kTrailer, request_id);
+  PutU8(out, trailer.nonempty ? 1 : 0);
+  PutI64(out, trailer.tuples_produced);
+  PutI64(out, trailer.max_intermediate_rows);
+  PutI64(out, trailer.peak_bytes);
+  PutI32(out, trailer.max_arity);
+  PutI64(out, trailer.num_joins);
+  PutI64(out, trailer.num_projections);
+  PutI64(out, trailer.num_semijoins);
+  PutI64(out, trailer.wall_ns);
+  PutI64(out, trailer.queue_ns);
+  FinishFrame(out, start);
+}
+
 std::string EncodeRequestFrame(const ServiceRequest& request) {
-  std::string out = BeginFrame(FrameType::kRequest, request.request_id);
-  PutU64(&out, request.client_id);
-  PutI32(&out, request.strategy);
-  PutU64(&out, request.seed);
-  PutU64(&out, request.tuple_budget);
-  PutU32(&out, request.deadline_ms);
-  PutString(&out, request.query_text);
-  FinishFrame(&out);
+  std::string out;
+  AppendRequestFrame(&out, request);
   return out;
 }
 
 std::string EncodeReplyHeaderFrame(uint64_t request_id,
                                    const ReplyHeader& header) {
-  std::string out = BeginFrame(FrameType::kReplyHeader, request_id);
-  PutU8(&out, static_cast<uint8_t>(header.status));
-  PutI32(&out, header.status_code);
-  PutU8(&out, header.cache_hit ? 1 : 0);
-  PutI32(&out, header.predicted_width);
-  PutU32(&out, static_cast<uint32_t>(header.attrs.size()));
-  for (const AttrId attr : header.attrs) PutI32(&out, attr);
-  PutString(&out, header.message);
-  FinishFrame(&out);
+  std::string out;
+  AppendReplyHeaderFrame(&out, request_id, header);
   return out;
 }
 
 std::string EncodeRowBatchFrame(uint64_t request_id, const Relation& rows,
                                 int64_t first, int64_t count) {
-  PPR_CHECK(rows.arity() > 0 && first >= 0 && count >= 0 &&
-            first + count <= rows.size());
-  std::string out = BeginFrame(FrameType::kRowBatch, request_id);
-  PutU32(&out, static_cast<uint32_t>(count));
-  const int arity = rows.arity();
-  for (int64_t r = first; r < first + count; ++r) {
-    for (int c = 0; c < arity; ++c) PutI32(&out, rows.at(r, c));
-  }
-  FinishFrame(&out);
+  std::string out;
+  AppendRowBatchFrame(&out, request_id, rows, first, count);
   return out;
 }
 
 std::string EncodeTrailerFrame(uint64_t request_id,
                                const ReplyTrailer& trailer) {
-  std::string out = BeginFrame(FrameType::kTrailer, request_id);
-  PutU8(&out, trailer.nonempty ? 1 : 0);
-  PutI64(&out, trailer.tuples_produced);
-  PutI64(&out, trailer.max_intermediate_rows);
-  PutI64(&out, trailer.peak_bytes);
-  PutI32(&out, trailer.max_arity);
-  PutI64(&out, trailer.num_joins);
-  PutI64(&out, trailer.num_projections);
-  PutI64(&out, trailer.num_semijoins);
-  PutI64(&out, trailer.wall_ns);
-  PutI64(&out, trailer.queue_ns);
-  FinishFrame(&out);
+  std::string out;
+  AppendTrailerFrame(&out, request_id, trailer);
   return out;
 }
 
@@ -206,7 +243,7 @@ Result<Frame> DecodeFrameBody(std::string_view body) {
       return Status::InvalidArgument("unknown frame type " +
                                      std::to_string(type));
   }
-  frame.payload.assign(body.substr(body.size() - cur.remaining()));
+  frame.payload = body.substr(body.size() - cur.remaining());
   return frame;
 }
 
@@ -241,6 +278,11 @@ Result<ReplyHeader> DecodeReplyHeaderPayload(std::string_view payload) {
   }
   header.status = static_cast<ServiceStatus>(status);
   header.cache_hit = cache_hit != 0;
+  // Each attribute takes 4 bytes: refuse a count the payload cannot
+  // hold before allocating for it.
+  if (arity > cur.remaining() / 4) {
+    return Status::InvalidArgument("malformed reply header schema");
+  }
   header.attrs.resize(arity);
   for (uint32_t i = 0; i < arity; ++i) {
     if (!cur.ReadI32(&header.attrs[i])) {
@@ -284,24 +326,19 @@ Status DecodeRowBatchPayload(std::string_view payload, Relation* out) {
                              static_cast<size_t>(arity) * sizeof(Value)) {
     return Status::InvalidArgument("row batch size mismatch");
   }
-  std::vector<Value> row(static_cast<size_t>(arity));
-  for (uint32_t r = 0; r < nrows; ++r) {
-    for (int c = 0; c < arity; ++c) {
-      if (!cur.ReadI32(&row[static_cast<size_t>(c)])) {
-        return Status::InvalidArgument("row batch truncated");
-      }
-    }
-    out->AppendRaw(row.data());
-  }
+  if (nrows == 0) return Status::Ok();
+  std::memcpy(out->GrowRows(static_cast<int64_t>(nrows)),
+              payload.data() + (payload.size() - cur.remaining()),
+              cur.remaining());
   return Status::Ok();
 }
 
-Status SendFrame(int fd, const std::string& frame) {
+Status SendFrame(int fd, std::string_view bytes) {
   size_t sent = 0;
-  while (sent < frame.size()) {
+  while (sent < bytes.size()) {
     // MSG_NOSIGNAL: a peer that hung up mid-response must surface as an
     // error return, not a process-killing SIGPIPE.
-    const ssize_t n = ::send(fd, frame.data() + sent, frame.size() - sent,
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
                              MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
@@ -313,16 +350,50 @@ Status SendFrame(int fd, const std::string& frame) {
   return Status::Ok();
 }
 
-namespace {
+Result<std::string_view> FrameReader::Next(int fd) {
+  // The previous frame's view is dead now: give back the room an
+  // oversized frame took, once what is still unread fits a chunk.
+  if (capacity_ > kReadChunkBytes && end_ - begin_ <= kReadChunkBytes) {
+    Reallocate(kReadChunkBytes);
+  }
+  Result<bool> got = Fill(fd, 4, /*eof_ok=*/true);
+  if (!got.ok()) return got.status();
+  if (!*got) return Status::NotFound("connection closed");
+  const uint32_t len = LoadU32(buf_.get() + begin_);
+  if (len > kMaxFrameBytes) {
+    return Status::InvalidArgument("frame length " + std::to_string(len) +
+                                   " exceeds cap " +
+                                   std::to_string(kMaxFrameBytes));
+  }
+  const size_t frame_bytes = 4 + static_cast<size_t>(len);
+  got = Fill(fd, frame_bytes, /*eof_ok=*/false);
+  if (!got.ok()) return got.status();
+  const std::string_view body(buf_.get() + begin_ + 4, len);
+  begin_ += frame_bytes;
+  PPR_DCHECK(begin_ <= end_);
+  return body;
+}
 
-/// Reads exactly `len` bytes; Ok(false) on clean EOF before the first
-/// byte when `eof_ok`, error on truncation.
-Result<bool> RecvExact(int fd, char* buf, size_t len, bool eof_ok) {
-  size_t got = 0;
-  while (got < len) {
-    const ssize_t n = ::recv(fd, buf + got, len - got, 0);
+Result<bool> FrameReader::Fill(int fd, size_t want, bool eof_ok) {
+  PPR_DCHECK(begin_ <= end_ && end_ <= capacity_);
+  if (end_ - begin_ >= want) return true;
+  if (begin_ == end_) begin_ = end_ = 0;
+  if (begin_ + want > capacity_) {
+    if (want <= capacity_) {
+      // Room enough, but behind consumed bytes: slide the unread ones to
+      // the front.
+      std::memmove(buf_.get(), buf_.get() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+    } else {
+      Reallocate(std::max(want, kReadChunkBytes));
+    }
+  }
+  PPR_DCHECK(begin_ + want <= capacity_);
+  while (end_ - begin_ < want) {
+    const ssize_t n = ::recv(fd, buf_.get() + end_, capacity_ - end_, 0);
     if (n == 0) {
-      if (got == 0 && eof_ok) return false;
+      if (eof_ok && end_ == begin_) return false;
       return Status::InvalidArgument("connection closed mid-frame");
     }
     if (n < 0) {
@@ -330,31 +401,21 @@ Result<bool> RecvExact(int fd, char* buf, size_t len, bool eof_ok) {
       return Status::Internal(std::string("recv failed: ") +
                               std::strerror(errno));
     }
-    got += static_cast<size_t>(n);
+    end_ += static_cast<size_t>(n);
   }
+  PPR_DCHECK(end_ <= capacity_);
   return true;
 }
 
-}  // namespace
-
-Result<std::string> RecvFrame(int fd) {
-  char len_buf[4];
-  Result<bool> got = RecvExact(fd, len_buf, sizeof(len_buf), /*eof_ok=*/true);
-  if (!got.ok()) return got.status();
-  if (!*got) return Status::NotFound("connection closed");
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(len_buf[i])) << (8 * i);
-  }
-  if (len > kMaxFrameBytes) {
-    return Status::InvalidArgument("frame length " + std::to_string(len) +
-                                   " exceeds cap " +
-                                   std::to_string(kMaxFrameBytes));
-  }
-  std::string body(len, '\0');
-  got = RecvExact(fd, body.data(), body.size(), /*eof_ok=*/false);
-  if (!got.ok()) return got.status();
-  return body;
+void FrameReader::Reallocate(size_t capacity) {
+  const size_t unread = end_ - begin_;
+  PPR_DCHECK(unread <= capacity);
+  auto buf = std::make_unique_for_overwrite<char[]>(capacity);
+  if (unread > 0) std::memcpy(buf.get(), buf_.get() + begin_, unread);
+  buf_ = std::move(buf);
+  capacity_ = capacity;
+  begin_ = 0;
+  end_ = unread;
 }
 
 }  // namespace ppr

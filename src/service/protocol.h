@@ -1,7 +1,9 @@
 #ifndef PPR_SERVICE_PROTOCOL_H_
 #define PPR_SERVICE_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -129,22 +131,33 @@ inline constexpr uint32_t kMaxFrameBytes = 1u << 24;  // 16 MiB
 /// Rows per kRowBatch frame.
 inline constexpr int64_t kRowBatchRows = 1024;
 
-/// Frame encoders: each returns a complete frame (length prefix
-/// included) ready to write to the stream.
+/// Frame encoders: each appends one complete frame (length prefix
+/// included) to `out`, so a whole response can be encoded into one buffer
+/// and written with one SendFrame.
+void AppendRequestFrame(std::string* out, const ServiceRequest& request);
+void AppendReplyHeaderFrame(std::string* out, uint64_t request_id,
+                            const ReplyHeader& header);
+/// Encodes rows [first, first + count) of `rows` (column count = arity).
+void AppendRowBatchFrame(std::string* out, uint64_t request_id,
+                         const Relation& rows, int64_t first, int64_t count);
+void AppendTrailerFrame(std::string* out, uint64_t request_id,
+                        const ReplyTrailer& trailer);
+
+/// The same encoders, each returning its frame as a new string.
 std::string EncodeRequestFrame(const ServiceRequest& request);
 std::string EncodeReplyHeaderFrame(uint64_t request_id,
                                    const ReplyHeader& header);
-/// Encodes rows [first, first + count) of `rows` (column count = arity).
 std::string EncodeRowBatchFrame(uint64_t request_id, const Relation& rows,
                                 int64_t first, int64_t count);
 std::string EncodeTrailerFrame(uint64_t request_id,
                                const ReplyTrailer& trailer);
 
 /// A decoded frame: type, request id, and the payload bytes after them.
+/// `payload` views the body DecodeFrameBody was given.
 struct Frame {
   FrameType type = FrameType::kRequest;
   uint64_t request_id = 0;
-  std::string payload;
+  std::string_view payload;
 };
 
 /// Splits one frame body (everything after the u32 length word) into
@@ -160,12 +173,51 @@ Result<ReplyTrailer> DecodeTrailerPayload(std::string_view payload);
 /// header's schema (arity is validated against it).
 Status DecodeRowBatchPayload(std::string_view payload, Relation* out);
 
-/// Blocking socket helpers shared by the server and client: write all of
-/// `frame`, or read exactly one length-prefixed frame body (size-capped).
-/// RecvFrame returns NotFound on clean EOF at a frame boundary — the
-/// peer hung up between frames, the normal end of a connection.
-Status SendFrame(int fd, const std::string& frame);
-Result<std::string> RecvFrame(int fd);
+/// Blocking socket I/O shared by the server and the client. Each side
+/// writes a whole message with one SendFrame: the client its request
+/// frame, the server a reply's header, row batches and trailer encoded
+/// into one buffer (flushed early only past kReplyFlushBytes). Each side
+/// reads through a FrameReader, which takes whatever the socket holds,
+/// up to kReadChunkBytes per recv, so a small reply or a run of
+/// pipelined requests costs one recv instead of two per frame.
+inline constexpr size_t kReadChunkBytes = 64 * 1024;
+inline constexpr size_t kReplyFlushBytes = 64 * 1024;
+
+/// Writes all of `bytes` (retrying short writes and EINTR).
+Status SendFrame(int fd, std::string_view bytes);
+
+/// Buffered reader of length-prefixed frames from one blocking stream
+/// socket. The buffer holds kReadChunkBytes; a frame larger than that
+/// grows it to the frame's size (never past kMaxFrameBytes, checked
+/// before growing), and the next Next shrinks it back.
+class FrameReader {
+ public:
+  /// Returns the next frame's body (everything after the length word).
+  /// The view stays valid until the next call. Errors: NotFound on clean
+  /// EOF at a frame boundary (the peer hung up between frames, the
+  /// normal end of a connection); InvalidArgument on an over-cap length
+  /// prefix or EOF inside a frame ("connection closed mid-frame");
+  /// Internal when recv fails. After an error the stream is unusable.
+  Result<std::string_view> Next(int fd);
+
+  /// Bytes of buffer currently held (0 before the first read).
+  size_t capacity() const { return capacity_; }
+
+ private:
+  /// Makes at least `want` unread bytes available from begin_, reading
+  /// more from `fd` as needed. Ok(false) on EOF before the first of them
+  /// when `eof_ok` and nothing is buffered.
+  Result<bool> Fill(int fd, size_t want, bool eof_ok);
+  /// Replaces the buffer with one of `capacity` bytes, keeping the
+  /// unread bytes at its start.
+  void Reallocate(size_t capacity);
+
+  std::unique_ptr<char[]> buf_;
+  size_t capacity_ = 0;
+  /// Unread bytes are buf_[begin_, end_).
+  size_t begin_ = 0;
+  size_t end_ = 0;
+};
 
 }  // namespace ppr
 

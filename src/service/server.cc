@@ -130,8 +130,9 @@ void ServiceServer::ReapFinished() {
 }
 
 void ServiceServer::ConnLoop(const std::shared_ptr<Conn>& conn) {
+  FrameReader reader;
   while (true) {
-    Result<std::string> body = RecvFrame(conn->fd);
+    Result<std::string_view> body = reader.Next(conn->fd);
     if (!body.ok()) {
       // Clean EOF between frames (NotFound), a shutdown during Stop, or
       // an unrecoverable framing error — all end the connection.
@@ -206,22 +207,32 @@ void ServiceServer::WriteReply(const std::shared_ptr<Conn>& conn,
   trailer.wall_ns = reply.wall_ns;
   trailer.queue_ns = reply.queue_ns;
 
-  // One lock across the whole response: frames of pipelined replies
-  // never interleave.
+  // The whole response goes out in one send (several only past
+  // kReplyFlushBytes), under one lock: frames of pipelined replies never
+  // interleave.
+  const int64_t total = rows ? reply.output.size() : 0;
+  // Room for the rows and message plus 256 bytes, which hold the framing,
+  // header and trailer of a reply with a schema of up to 30 columns.
+  std::string out;
+  out.reserve(std::min(
+      kReplyFlushBytes,
+      256 + header.message.size() +
+          static_cast<size_t>(total * reply.output.arity()) * sizeof(Value)));
   MutexLock lock(conn->write_mu);
-  Status sent = SendFrame(conn->fd, EncodeReplyHeaderFrame(request_id, header));
-  if (sent.ok() && rows) {
-    const int64_t total = reply.output.size();
-    for (int64_t first = 0; sent.ok() && first < total;
-         first += kRowBatchRows) {
-      const int64_t count = std::min<int64_t>(kRowBatchRows, total - first);
-      sent = SendFrame(conn->fd,
-                       EncodeRowBatchFrame(request_id, reply.output, first,
-                                           count));
+  AppendReplyHeaderFrame(&out, request_id, header);
+  Status sent = Status::Ok();
+  for (int64_t first = 0; sent.ok() && first < total;
+       first += kRowBatchRows) {
+    const int64_t count = std::min<int64_t>(kRowBatchRows, total - first);
+    AppendRowBatchFrame(&out, request_id, reply.output, first, count);
+    if (out.size() >= kReplyFlushBytes) {
+      sent = SendFrame(conn->fd, out);
+      out.clear();
     }
   }
   if (sent.ok()) {
-    sent = SendFrame(conn->fd, EncodeTrailerFrame(request_id, trailer));
+    AppendTrailerFrame(&out, request_id, trailer);
+    sent = SendFrame(conn->fd, out);
   }
   if (!sent.ok()) write_errors_.fetch_add(1, std::memory_order_acq_rel);
 }

@@ -21,10 +21,13 @@ namespace ppr {
 ///
 /// A connection may pipeline requests: each kRequest frame is submitted
 /// to the QueryService immediately, and each response (header, row
-/// batches, trailer) is written atomically under the connection's write
-/// mutex when its reply arrives — responses to pipelined requests never
-/// interleave at the frame level, and every response frame echoes the
-/// request id, so clients match replies back in any case.
+/// batches, trailer) is encoded into one buffer and written with one send
+/// under the connection's write mutex when its reply arrives (a response
+/// over kReplyFlushBytes goes out in several sends, still under the one
+/// lock) — responses to pipelined requests never interleave at the frame
+/// level, and every response frame echoes the request id, so clients
+/// match replies back in any case. Requests are read through a
+/// FrameReader, so pipelined requests that arrive together cost one recv.
 ///
 /// Undecodable request frames are answered with a kInvalid reply (the
 /// connection survives); a broken stream (short frame, oversized length
@@ -100,8 +103,8 @@ class ServiceServer {
   /// a connection's fd closes once its last in-flight reply is written.
   void ReapFinished();
   void ConnLoop(const std::shared_ptr<Conn>& conn);
-  /// Serializes one reply (header, batches, trailer) and writes it under
-  /// the connection's write mutex.
+  /// Encodes one reply (header, batches, trailer) into one buffer and
+  /// sends it under the connection's write mutex.
   void WriteReply(const std::shared_ptr<Conn>& conn, uint64_t request_id,
                   const ServiceReply& reply);
 

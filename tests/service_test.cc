@@ -1,10 +1,13 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -82,6 +85,20 @@ bool ServedOnNewConnection(int port, uint64_t request_id) {
   Result<ServiceReply> reply =
       client->Call(MakeRequest("pi{X} edge(X, Y)", request_id));
   return reply.ok() && reply->ok();
+}
+
+// Waits up to 5 s for the process's descriptor and thread counts to fall
+// back to the given ones, then checks them.
+void ExpectFlatCounts(int fds_before, int threads_before) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((ProcEntries("fd") > fds_before ||
+          ProcEntries("task") > threads_before) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(ProcEntries("fd"), fds_before);
+  EXPECT_EQ(ProcEntries("task"), threads_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -215,6 +232,198 @@ TEST(ProtocolTest, TruncatedAndMalformedFramesAreRejected) {
   std::string bogus(body);
   bogus[0] = 0x7f;
   EXPECT_FALSE(DecodeFrameBody(bogus).ok());
+}
+
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kDigits[static_cast<uint8_t>(c) & 0xf]);
+  }
+  return out;
+}
+
+TEST(ProtocolTest, EncodersKeepTheWireBytes) {
+  // Golden frames: the protocol's bytes, pinned so that a faster encoder
+  // cannot change what is on the wire.
+  constexpr uint64_t kId = 0x0102030405060708ULL;
+  ServiceRequest request = MakeRequest("pi{X} e(X)", kId, 9);
+  request.seed = 7;
+  request.tuple_budget = 1000;
+  request.deadline_ms = 250;
+  EXPECT_EQ(Hex(EncodeRequestFrame(request)),
+            "370000000108070605040302010900000000000000ffffffff07000000000000"
+            "00e803000000000000fa0000000a00000070697b587d2065285829");
+
+  ReplyHeader header;
+  header.status = ServiceStatus::kOk;
+  header.cache_hit = true;
+  header.predicted_width = 3;
+  header.attrs = {4, 1, 7};
+  header.message = "m";
+  EXPECT_EQ(Hex(EncodeReplyHeaderFrame(kId, header)),
+            "2800000002080706050403020100000000000103000000030000000400000001"
+            "00000007000000010000006d");
+
+  Relation rows((Schema({4, 1, 7})));
+  rows.AddTuple({1, 2, 3});
+  rows.AddTuple({-1, 0x12345678, 5});
+  rows.AddTuple({6, 7, 8});
+  EXPECT_EQ(Hex(EncodeRowBatchFrame(kId, rows, 1, 2)),
+            "2500000003080706050403020102000000ffffffff7856341205000000060000"
+            "000700000008000000");
+
+  ReplyTrailer trailer;
+  trailer.nonempty = true;
+  trailer.tuples_produced = 11;
+  trailer.max_intermediate_rows = 12;
+  trailer.peak_bytes = 13;
+  trailer.max_arity = 14;
+  trailer.num_joins = 15;
+  trailer.num_projections = 16;
+  trailer.num_semijoins = 17;
+  trailer.wall_ns = 18;
+  trailer.queue_ns = -19;
+  EXPECT_EQ(Hex(EncodeTrailerFrame(kId, trailer)),
+            "4e000000040807060504030201010b000000000000000c000000000000000d00"
+            "0000000000000e0000000f000000000000001000000000000000110000000000"
+            "00001200000000000000edffffffffffffff");
+
+  // The Append encoders write the same frames back to back.
+  std::string appended;
+  AppendReplyHeaderFrame(&appended, kId, header);
+  AppendRowBatchFrame(&appended, kId, rows, 1, 2);
+  AppendTrailerFrame(&appended, kId, trailer);
+  EXPECT_EQ(appended, EncodeReplyHeaderFrame(kId, header) +
+                          EncodeRowBatchFrame(kId, rows, 1, 2) +
+                          EncodeTrailerFrame(kId, trailer));
+}
+
+TEST(ProtocolTest, ReplyHeaderWithAnImpossibleArityIsRejected) {
+  // A schema count the payload cannot hold fails before any allocation.
+  ReplyHeader header;
+  header.attrs = {1};
+  const std::string frame = EncodeReplyHeaderFrame(1, header);
+  std::string body = frame.substr(4);
+  // The arity word follows type, id, status, code, cache_hit and width.
+  const size_t arity_at = 1 + 8 + 1 + 4 + 1 + 4;
+  body[arity_at + 3] = static_cast<char>(0x7f);
+  const Result<Frame> decoded = DecodeFrameBody(body);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_FALSE(DecodeReplyHeaderPayload(decoded->payload).ok());
+}
+
+// A connected AF_UNIX stream pair, closed on scope exit.
+class SocketPair {
+ public:
+  SocketPair() {
+    PPR_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_) == 0);
+  }
+  ~SocketPair() {
+    CloseWriter();
+    ::close(fds_[0]);
+  }
+  int reader() const { return fds_[0]; }
+  int writer() const { return fds_[1]; }
+  void CloseWriter() {
+    if (fds_[1] >= 0) ::close(fds_[1]);
+    fds_[1] = -1;
+  }
+
+ private:
+  int fds_[2] = {-1, -1};
+};
+
+// A frame's little-endian length word.
+std::string LengthWord(uint32_t body_bytes) {
+  std::string word(4, '\0');
+  for (int i = 0; i < 4; ++i) {
+    word[static_cast<size_t>(i)] =
+        static_cast<char>((body_bytes >> (8 * i)) & 0xff);
+  }
+  return word;
+}
+
+// A frame whose body is `body_bytes` copies of `fill`.
+std::string RawFrame(uint32_t body_bytes, char fill) {
+  return LengthWord(body_bytes) + std::string(body_bytes, fill);
+}
+
+TEST(FrameReaderTest, ReadsFramesThatArriveTogetherOneByOne) {
+  SocketPair pair;
+  const std::string a = EncodeRequestFrame(MakeRequest("r(X)", 1));
+  const std::string b = EncodeRequestFrame(MakeRequest("s(X, Y)", 2));
+  ASSERT_TRUE(SendFrame(pair.writer(), a + b + a).ok());
+  pair.CloseWriter();
+  FrameReader reader;
+  for (const std::string* want : {&a, &b, &a}) {
+    const Result<std::string_view> body = reader.Next(pair.reader());
+    ASSERT_TRUE(body.ok()) << body.status().ToString();
+    EXPECT_EQ(*body, std::string_view(*want).substr(4));
+  }
+  EXPECT_EQ(reader.capacity(), kReadChunkBytes);
+  const Result<std::string_view> eof = reader.Next(pair.reader());
+  ASSERT_FALSE(eof.ok());
+  EXPECT_EQ(eof.status().code(), StatusCode::kNotFound);
+}
+
+TEST(FrameReaderTest, GrowsForALargeFrameAndShrinksBack) {
+  SocketPair pair;
+  constexpr uint32_t kLarge = 1u << 20;
+  const std::string large = RawFrame(kLarge, 'x');
+  const std::string small = RawFrame(3, 'y');
+  // The large frame does not fit the socket buffer: write it from a
+  // second thread while the reader drains.
+  std::thread writer([&pair, &large, &small] {
+    PPR_CHECK(SendFrame(pair.writer(), large + small).ok());
+  });
+  FrameReader reader;
+  Result<std::string_view> body = reader.Next(pair.reader());
+  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  EXPECT_EQ(body->size(), kLarge);
+  EXPECT_EQ(body->find_first_not_of('x'), std::string_view::npos);
+  EXPECT_GE(reader.capacity(), 4 + static_cast<size_t>(kLarge));
+  body = reader.Next(pair.reader());
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(*body, "yyy");
+  EXPECT_EQ(reader.capacity(), kReadChunkBytes);
+  writer.join();
+}
+
+TEST(FrameReaderTest, OverCapLengthFailsBeforeGrowing) {
+  SocketPair pair;
+  // A valid frame, then a length word one past the cap and some bytes.
+  ASSERT_TRUE(SendFrame(pair.writer(), RawFrame(2, 'a') +
+                                           LengthWord(kMaxFrameBytes + 1) +
+                                           "zz")
+                  .ok());
+  FrameReader reader;
+  Result<std::string_view> body = reader.Next(pair.reader());
+  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  EXPECT_EQ(*body, "aa");
+  body = reader.Next(pair.reader());
+  ASSERT_FALSE(body.ok());
+  EXPECT_EQ(body.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(body.status().message(),
+            "frame length " + std::to_string(kMaxFrameBytes + 1) +
+                " exceeds cap " + std::to_string(kMaxFrameBytes));
+  EXPECT_EQ(reader.capacity(), kReadChunkBytes);
+}
+
+TEST(FrameReaderTest, EndOfStreamInsideAFrameIsAnError) {
+  const std::string frame = EncodeRequestFrame(MakeRequest("r(X)", 1));
+  // Cut inside the length word and inside the body.
+  for (const size_t cut : {size_t{2}, frame.size() - 1}) {
+    SocketPair pair;
+    ASSERT_TRUE(SendFrame(pair.writer(), frame.substr(0, cut)).ok());
+    pair.CloseWriter();
+    FrameReader reader;
+    const Result<std::string_view> body = reader.Next(pair.reader());
+    ASSERT_FALSE(body.ok());
+    EXPECT_EQ(body.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(body.status().message(), "connection closed mid-frame");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -709,15 +918,7 @@ TEST(ServiceServerTest, ConnectCloseCyclesLeaveFdAndThreadCountsFlat) {
 
   // Every connection's descriptor and thread go once it finishes; a
   // server that never reaps holds kCycles + 1 more of each.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while ((ProcEntries("fd") > fds_before ||
-          ProcEntries("task") > threads_before) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(ProcEntries("fd"), fds_before);
-  EXPECT_EQ(ProcEntries("task"), threads_before);
+  ExpectFlatCounts(fds_before, threads_before);
 
   server.Stop();
   EXPECT_EQ(server.connections_accepted(), kCycles + 1);
@@ -769,15 +970,7 @@ TEST(ServiceServerTest, FramesTruncatedAtEveryOffsetLeaveTheServerServing) {
   }
   ASSERT_TRUE(ServedOnNewConnection(server.port(), 8));
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while ((ProcEntries("fd") > fds_before ||
-          ProcEntries("task") > threads_before) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(ProcEntries("fd"), fds_before);
-  EXPECT_EQ(ProcEntries("task"), threads_before);
+  ExpectFlatCounts(fds_before, threads_before);
 
   server.Stop();
   EXPECT_EQ(server.connections_accepted(),
@@ -848,7 +1041,19 @@ TEST(ServiceServerTest, AcceptSurvivesDescriptorExhaustion) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     ASSERT_EQ(server.connections_accepted(), backlog);
-    EXPECT_TRUE(ServedOnNewConnection(server.port(), 2));
+    // Client and server share this process's descriptors: until the
+    // acceptor reaps the closed clients' connections, the client's own
+    // socket() can find none free. Retry the connect, not the request.
+    Result<ServiceClient> client =
+        ServiceClient::Connect("127.0.0.1", server.port());
+    while (!client.ok() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      client = ServiceClient::Connect("127.0.0.1", server.port());
+    }
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    const Result<ServiceReply> reply =
+        client->Call(MakeRequest("pi{X} edge(X, Y)", 2));
+    EXPECT_TRUE(reply.ok() && reply->ok());
   }
 
   server.Stop();
@@ -858,6 +1063,330 @@ TEST(ServiceServerTest, AcceptSurvivesDescriptorExhaustion) {
   const ServiceCounters counters = service.counters();
   EXPECT_EQ(counters.requests, 2);
   EXPECT_EQ(counters.ok, 2);
+}
+
+// A blocking loopback connection to `port` with Nagle off; a nonzero
+// `rcvbuf` caps the receive buffer (set before connecting, so the
+// advertised window is small from the start). -1 on failure.
+int ConnectRaw(int port, int rcvbuf = 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (rcvbuf > 0) {
+    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// One reply as read off a raw socket: its bytes exactly as they arrived,
+// and its decoded header, rows and trailer.
+struct RawReply {
+  std::string bytes;
+  uint64_t request_id = 0;
+  ReplyHeader header;
+  Relation rows;
+  ReplyTrailer trailer;
+};
+
+Result<RawReply> ReadRawReply(int fd, FrameReader* reader) {
+  RawReply out;
+  for (bool first = true;; first = false) {
+    const Result<std::string_view> body = reader->Next(fd);
+    if (!body.ok()) return body.status();
+    out.bytes += LengthWord(static_cast<uint32_t>(body->size()));
+    out.bytes += *body;
+    const Result<Frame> frame = DecodeFrameBody(*body);
+    if (!frame.ok()) return frame.status();
+    if (first) {
+      if (frame->type != FrameType::kReplyHeader) {
+        return Status::InvalidArgument("reply does not start with a header");
+      }
+      Result<ReplyHeader> header = DecodeReplyHeaderPayload(frame->payload);
+      if (!header.ok()) return header.status();
+      out.request_id = frame->request_id;
+      out.header = std::move(*header);
+      out.rows = Relation(Schema(out.header.attrs));
+      continue;
+    }
+    if (frame->request_id != out.request_id) {
+      return Status::InvalidArgument("reply frames interleaved");
+    }
+    if (frame->type == FrameType::kRowBatch) {
+      if (Status s = DecodeRowBatchPayload(frame->payload, &out.rows);
+          !s.ok()) {
+        return s;
+      }
+      continue;
+    }
+    if (frame->type != FrameType::kTrailer) {
+      return Status::InvalidArgument("unexpected frame inside a reply");
+    }
+    Result<ReplyTrailer> trailer = DecodeTrailerPayload(frame->payload);
+    if (!trailer.ok()) return trailer.status();
+    out.trailer = *trailer;
+    return out;
+  }
+}
+
+// The reply as the frame encoders write it one frame at a time: header,
+// rows in kRowBatchRows batches, trailer.
+std::string EncodedReply(const RawReply& reply) {
+  std::string out = EncodeReplyHeaderFrame(reply.request_id, reply.header);
+  const int64_t total = reply.rows.arity() > 0 ? reply.rows.size() : 0;
+  for (int64_t first = 0; first < total; first += kRowBatchRows) {
+    out += EncodeRowBatchFrame(reply.request_id, reply.rows, first,
+                               std::min(kRowBatchRows, total - first));
+  }
+  return out + EncodeTrailerFrame(reply.request_id, reply.trailer);
+}
+
+// The trailer's statistics equal the in-process run's.
+void ExpectSameStats(const ReplyTrailer& trailer, const ServiceReply& want) {
+  EXPECT_EQ(trailer.tuples_produced, want.stats.tuples_produced);
+  EXPECT_EQ(trailer.max_intermediate_rows, want.stats.max_intermediate_rows);
+  EXPECT_EQ(trailer.peak_bytes, want.stats.peak_bytes);
+  EXPECT_EQ(trailer.max_arity, want.stats.max_intermediate_arity);
+  EXPECT_EQ(trailer.num_joins, want.stats.num_joins);
+  EXPECT_EQ(trailer.num_projections, want.stats.num_projections);
+  EXPECT_EQ(trailer.num_semijoins, want.stats.num_semijoins);
+}
+
+// Every counter accounts for exactly `ok` served requests.
+void ExpectOnlyOkRequests(const QueryService& service, int64_t ok) {
+  const ServiceCounters counters = service.counters();
+  EXPECT_EQ(counters.requests, ok);
+  EXPECT_EQ(counters.admitted, ok);
+  EXPECT_EQ(counters.completed, ok);
+  EXPECT_EQ(counters.ok, ok);
+  EXPECT_EQ(counters.invalid, 0);
+  EXPECT_EQ(counters.errors, 0);
+}
+
+TEST(ServiceServerTest, RequestWrittenOneByteAtATimeIsServed) {
+  const Database db = ThreeColorDb();
+  const std::string text = "pi{X, Y} edge(X, Z) & edge(Z, Y)";
+  const ServiceReply expected =
+      QueryService(db, ServiceConfig{}).Execute(MakeRequest(text));
+  ASSERT_TRUE(expected.ok());
+  QueryService service(db, ServiceConfig{});
+  ServiceServer server(&service, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  const int fds_before = ProcEntries("fd");
+  const int threads_before = ProcEntries("task");
+
+  const int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  // Each byte its own segment: the server's reads see every split of
+  // the length word, the header and the payload.
+  for (const char byte : EncodeRequestFrame(MakeRequest(text, 21))) {
+    ASSERT_EQ(::send(fd, &byte, 1, MSG_NOSIGNAL), 1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  FrameReader reader;
+  const Result<RawReply> reply = ReadRawReply(fd, &reader);
+  ::close(fd);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->request_id, 21u);
+  EXPECT_EQ(reply->header.status, ServiceStatus::kOk);
+  EXPECT_TRUE(SameRelation(reply->rows, expected.output));
+  ExpectSameStats(reply->trailer, expected);
+  EXPECT_EQ(reply->bytes, EncodedReply(*reply));
+
+  ExpectFlatCounts(fds_before, threads_before);
+  server.Stop();
+  EXPECT_EQ(server.connections_accepted(), 1);
+  EXPECT_EQ(server.write_errors(), 0);
+  ExpectOnlyOkRequests(service, 1);
+}
+
+TEST(ServiceServerTest, TwoRequestsInOneSendAreAnsweredInOrder) {
+  const Database db = ThreeColorDb();
+  const std::string first_text = "pi{X, Y} edge(X, Z) & edge(Z, Y)";
+  const std::string second_text = "pi{X} edge(X, Y)";
+  QueryService reference(db, ServiceConfig{});
+  const ServiceReply first_expected =
+      reference.Execute(MakeRequest(first_text));
+  const ServiceReply second_expected =
+      reference.Execute(MakeRequest(second_text));
+  // One worker runs the two in arrival order.
+  QueryService service(db, ServiceConfig{});
+  ServiceServer server(&service, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  const int fds_before = ProcEntries("fd");
+  const int threads_before = ProcEntries("task");
+
+  const int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendFrame(fd, EncodeRequestFrame(MakeRequest(first_text, 31)) +
+                                EncodeRequestFrame(MakeRequest(second_text, 32)))
+                  .ok());
+  FrameReader reader;
+  const Result<RawReply> first = ReadRawReply(fd, &reader);
+  const Result<RawReply> second = ReadRawReply(fd, &reader);
+  ::close(fd);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(first->request_id, 31u);
+  EXPECT_EQ(second->request_id, 32u);
+  EXPECT_TRUE(SameRelation(first->rows, first_expected.output));
+  EXPECT_TRUE(SameRelation(second->rows, second_expected.output));
+  EXPECT_EQ(first->bytes, EncodedReply(*first));
+  EXPECT_EQ(second->bytes, EncodedReply(*second));
+
+  ExpectFlatCounts(fds_before, threads_before);
+  server.Stop();
+  EXPECT_EQ(server.write_errors(), 0);
+  ExpectOnlyOkRequests(service, 2);
+}
+
+// Reads exactly `n` bytes (no read-ahead, unlike a FrameReader).
+bool RecvExactly(int fd, char* out, size_t n) {
+  for (size_t got = 0; got < n;) {
+    const ssize_t r = ::recv(fd, out + got, n - got, 0);
+    if (r <= 0) return false;
+    got += static_cast<size_t>(r);
+  }
+  return true;
+}
+
+TEST(ServiceServerTest, PeerThatHangsUpAfterTheHeaderIsCountedAndSurvived) {
+  const Database db = ThreeColorDb();
+  QueryService service(db, ServiceConfig{});
+  ServiceServer server(&service, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  const int fds_before = ProcEntries("fd");
+  const int threads_before = ProcEntries("task");
+
+  // 6^7 rows of 14 columns, about 15.7 MB: far more than the client's
+  // small receive window and the server's send buffer hold, so the
+  // server is still sending when the peer hangs up.
+  const std::string text =
+      "pi{A, B, C, D, E, F, G, H, I, J, K, L, M, N} edge(A, B) & "
+      "edge(C, D) & edge(E, F) & edge(G, H) & edge(I, J) & edge(K, L) & "
+      "edge(M, N)";
+  const int fd = ConnectRaw(server.port(), /*rcvbuf=*/4096);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendFrame(fd, EncodeRequestFrame(MakeRequest(text, 41))).ok());
+  char len_word[4];
+  ASSERT_TRUE(RecvExactly(fd, len_word, sizeof(len_word)));
+  uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= static_cast<uint32_t>(static_cast<uint8_t>(len_word[i])) << (8 * i);
+  }
+  ASSERT_LE(len, kMaxFrameBytes);
+  std::string body(len, '\0');
+  ASSERT_TRUE(RecvExactly(fd, body.data(), body.size()));
+  const Result<Frame> frame = DecodeFrameBody(body);
+  ASSERT_TRUE(frame.ok());
+  ASSERT_EQ(frame->type, FrameType::kReplyHeader);
+  const Result<ReplyHeader> header = DecodeReplyHeaderPayload(frame->payload);
+  ASSERT_TRUE(header.ok());
+  EXPECT_EQ(header->status, ServiceStatus::kOk);
+  EXPECT_EQ(header->attrs.size(), 14u);
+  // Unread bytes in the receive queue make close() reset the connection.
+  ::close(fd);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.write_errors() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.write_errors(), 1);
+  ASSERT_TRUE(ServedOnNewConnection(server.port(), 42));
+
+  ExpectFlatCounts(fds_before, threads_before);
+  server.Stop();
+  EXPECT_EQ(server.connections_accepted(), 2);
+  EXPECT_EQ(server.write_errors(), 1);
+  // The service answered both; only the socket write of the first failed.
+  ExpectOnlyOkRequests(service, 2);
+}
+
+TEST(ServiceServerTest, OverCapLengthPrefixClosesTheConnection) {
+  const Database db = ThreeColorDb();
+  QueryService service(db, ServiceConfig{});
+  ServiceServer server(&service, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  const int fds_before = ProcEntries("fd");
+  const int threads_before = ProcEntries("task");
+
+  // The reader refuses the length before growing its buffer for the body
+  // (FrameReaderTest.OverCapLengthFailsBeforeGrowing); the server then
+  // ends the connection.
+  const int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendFrame(fd, LengthWord(kMaxFrameBytes + 1) + "body").ok());
+  const timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // EOF: the server hung up
+  ::close(fd);
+  ASSERT_TRUE(ServedOnNewConnection(server.port(), 51));
+
+  ExpectFlatCounts(fds_before, threads_before);
+  server.Stop();
+  EXPECT_EQ(server.connections_accepted(), 2);
+  EXPECT_EQ(server.write_errors(), 0);
+  ExpectOnlyOkRequests(service, 1);
+}
+
+TEST(ServiceServerTest, FiveThousandRowReplySpansSeveralBatches) {
+  // 5000 distinct 4-column rows: five row batches and about 80 KB, so
+  // the reply also crosses the server's early-flush size.
+  Database db;
+  Relation big((Schema({0, 1, 2, 3})));
+  for (Value i = 0; i < 5000; ++i) big.AddTuple({i, i % 7, i % 11, 5000 - i});
+  db.Put("big", std::move(big));
+  const std::string text = "pi{A, B, C, D} big(A, B, C, D)";
+  const ServiceReply expected =
+      QueryService(db, ServiceConfig{}).Execute(MakeRequest(text));
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected.output.size(), 5000);
+  QueryService service(db, ServiceConfig{});
+  ServiceServer server(&service, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  const int fds_before = ProcEntries("fd");
+  const int threads_before = ProcEntries("task");
+
+  const int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendFrame(fd, EncodeRequestFrame(MakeRequest(text, 61))).ok());
+  FrameReader reader;
+  const Result<RawReply> reply = ReadRawReply(fd, &reader);
+  ::close(fd);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(SameRelation(reply->rows, expected.output));
+  ExpectSameStats(reply->trailer, expected);
+  EXPECT_GT(reply->bytes.size(), kReplyFlushBytes);
+  EXPECT_EQ(reply->bytes, EncodedReply(*reply));
+
+  // The same answer through ServiceClient.
+  Result<ServiceClient> client = ServiceClient::Connect("127.0.0.1",
+                                                        server.port());
+  ASSERT_TRUE(client.ok());
+  const Result<ServiceReply> called = client->Call(MakeRequest(text, 62));
+  ASSERT_TRUE(called.ok()) << called.status().ToString();
+  EXPECT_TRUE(SameRelation(called->output, expected.output));
+  EXPECT_EQ(called->stats.tuples_produced, expected.stats.tuples_produced);
+  client->Close();
+
+  ExpectFlatCounts(fds_before, threads_before);
+  server.Stop();
+  EXPECT_EQ(server.write_errors(), 0);
+  ExpectOnlyOkRequests(service, 2);
 }
 
 }  // namespace
