@@ -153,12 +153,13 @@ void BM_CompiledPlanExecuteTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledPlanExecuteTraced)->Range(1 << 8, 1 << 13);
 
-// Columnar twin of BM_CompiledPlanExecute: the same compiled plan pushed
-// through the batch kernels by ExecuteShared with an inline MorselExec
-// (single morsel at the default size). The gap to the row path is the
-// batch layer's overhead, which only intra-query parallelism pays back:
-// inline, the row kernels are faster, which is why ExecuteShared picks
-// them unless a MorselExec is passed.
+// BM_CompiledPlanExecute under the morsel driver's default partition,
+// run inline: ExecuteShared with a MorselExec of the env-default morsel
+// size, so the join output (up to ~670K rows) is projected in several
+// 64K-row morsels. The gap to BM_CompiledPlanExecute, whose operators
+// each run as one whole-input morsel, is the cost of morsel-local
+// indexes and the serial merge that only intra-query parallelism pays
+// back.
 void BM_CompiledPlanExecuteInlineMorsel(benchmark::State& state) {
   const int64_t rows = state.range(0);
   Database db;
@@ -233,23 +234,6 @@ void BM_BatchExecuteTelemetryOn(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchExecuteTelemetryOn)->Range(1 << 8, 1 << 13);
 
-void BM_HashJoinColumnar(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  Relation left = RandomRelation({0, 1}, rows, 100, 1);
-  Relation right = RandomRelation({1, 2}, rows, 100, 2);
-  const JoinSpec spec = PlanJoin(left.schema(), right.schema());
-  const MorselExec mx;  // inline, env-default morsel size
-  int64_t produced = 0;
-  for (auto _ : state) {
-    ExecContext ctx;
-    Relation out = HashJoinColumnar(left, right, spec, ctx, mx);
-    produced += out.size();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(produced);
-}
-BENCHMARK(BM_HashJoinColumnar)->Range(1 << 8, 1 << 14);
-
 // Multi-morsel HashJoinColumnar on 4 pool workers, the shape of
 // morsel_wide's big joins: 512K probe rows in 8 morsels of 64K, ~8M
 // output rows (~96 MB). Sizing the output, faulting its pages in and
@@ -286,34 +270,6 @@ void BM_HashJoinColumnarMorsels(benchmark::State& state) {
   state.counters["out_mb"] = static_cast<double>(out_bytes) / (1 << 20);
 }
 BENCHMARK(BM_HashJoinColumnarMorsels)->Unit(benchmark::kMillisecond);
-
-void BM_ProjectDistinctColumnar(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  Relation input = RandomRelation({0, 1, 2, 3}, rows, 3, 5);
-  const ProjectSpec spec = PlanProject(input.schema(), {0, 2});
-  const MorselExec mx;
-  for (auto _ : state) {
-    ExecContext ctx;
-    Relation out = ProjectColumnsColumnar(input, spec, ctx, mx);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_ProjectDistinctColumnar)->Range(1 << 8, 1 << 18);
-
-void BM_ScanAtomColumnar(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  Relation stored = RandomRelation({0, 1}, rows, 10, 8);
-  const ScanSpec spec = PlanScan(stored.arity(), {7, 7});  // repeated attr
-  const MorselExec mx;
-  for (auto _ : state) {
-    ExecContext ctx;
-    Relation out = ScanAtomColumnar(stored, spec, ctx, mx);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_ScanAtomColumnar)->Range(1 << 8, 1 << 14);
 
 void BM_BindAtom(benchmark::State& state) {
   const int64_t rows = state.range(0);
@@ -369,7 +325,8 @@ void BM_ProjectWide(benchmark::State& state) {
   ExecArena arena;
   for (auto _ : state) {
     ExecContext ctx(kCounterMax, &arena);
-    Relation out = ProjectColumns(input, spec, ctx);
+    Relation out =
+        ProjectColumnsColumnar(input, spec, ctx, WholeInputMorsel());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * input.size());
@@ -378,20 +335,6 @@ void BM_ProjectWide(benchmark::State& state) {
 // largest batch_paper projections' do; BM_ProjectDistinct* (9 keys) is
 // the low-distinct control.
 BENCHMARK(BM_ProjectWide)->Range(1 << 8, 1 << 16)->Arg(1 << 18);
-
-void BM_ProjectWideColumnar(benchmark::State& state) {
-  const Relation input = WideProjectInput(state.range(0));
-  const ProjectSpec spec = PlanProject(input.schema(), WideProjectAttrs());
-  const MorselExec mx;
-  ExecArena arena;
-  for (auto _ : state) {
-    ExecContext ctx(kCounterMax, &arena);
-    Relation out = ProjectColumnsColumnar(input, spec, ctx, mx);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * input.size());
-}
-BENCHMARK(BM_ProjectWideColumnar)->Range(1 << 8, 1 << 16)->Arg(1 << 18);
 
 // Arity-14 relations sharing attrs 11..13. The shared columns draw from
 // a domain of about cbrt(rows) values, so the join emits about `rows`
@@ -427,29 +370,13 @@ void BM_JoinWide(benchmark::State& state) {
   int64_t produced = 0;
   for (auto _ : state) {
     ExecContext ctx(kCounterMax, &arena);
-    Relation out = HashJoin(left, right, spec, ctx);
+    Relation out = HashJoinColumnar(left, right, spec, ctx, WholeInputMorsel());
     produced += out.size();
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(produced);
 }
 BENCHMARK(BM_JoinWide)->Range(1 << 8, 1 << 14);
-
-void BM_JoinWideColumnar(benchmark::State& state) {
-  const auto [left, right] = WideJoinInputs(state.range(0));
-  const JoinSpec spec = PlanJoin(left.schema(), right.schema());
-  const MorselExec mx;
-  ExecArena arena;
-  int64_t produced = 0;
-  for (auto _ : state) {
-    ExecContext ctx(kCounterMax, &arena);
-    Relation out = HashJoinColumnar(left, right, spec, ctx, mx);
-    produced += out.size();
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(produced);
-}
-BENCHMARK(BM_JoinWideColumnar)->Range(1 << 8, 1 << 14);
 
 // Key hashing alone, per key width (items = keys hashed).
 void BM_HashPackedKey(benchmark::State& state) {

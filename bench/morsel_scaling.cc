@@ -1,9 +1,10 @@
 // Thread-scaling harness for morsel-driven intra-query parallelism: one
 // heavy 3-COLOR query (bucket-elimination plan), executed by the
-// MorselDriver at each requested worker count, against the row-kernel
-// baseline. Every sweep point's answer relation is checked byte-identical
-// to the row path — the determinism contract, enforced, not sampled —
-// and the summary metrics land in BENCH_morsel.json.
+// MorselDriver at each requested worker count, against the inline
+// baseline (PhysicalPlan::Execute, one whole-input morsel per operator).
+// Every sweep point's answer relation is checked byte-identical to the
+// inline path — the determinism contract, enforced, not sampled — and
+// the summary metrics land in BENCH_morsel.json.
 //
 // On machines with >= 8 hardware threads the sweep enforces the
 // acceptance gate: >= 3x speedup at 8 workers over the single-thread
@@ -124,30 +125,31 @@ int main(int argc, char** argv) {
   }
   PhysicalPlan& physical = *compiled;
 
-  // Row-kernel baseline: the oracle every sweep point is checked against.
-  double row_seconds = 1e100;
-  ExecutionResult row;
+  // Inline baseline: the oracle every sweep point is checked against.
+  double inline_seconds = 1e100;
+  ExecutionResult inline_run;
   for (int rep = 0; rep < repeats; ++rep) {
-    row = physical.Execute(budget);
-    if (!row.status.ok()) {
-      std::fprintf(stderr, "row baseline: %s (raise --budget?)\n",
-                   row.status.ToString().c_str());
+    inline_run = physical.Execute(budget);
+    if (!inline_run.status.ok()) {
+      std::fprintf(stderr, "inline baseline: %s (raise --budget?)\n",
+                   inline_run.status.ToString().c_str());
       return 1;
     }
-    row_seconds = std::min(row_seconds, row.seconds);
+    inline_seconds = std::min(inline_seconds, inline_run.seconds);
   }
   std::printf("morsel scaling: 3-COLOR on %d vertices (density %.2f), "
               "%lld answer rows, morsel size %lld\n\n",
-              vertices, density, static_cast<long long>(row.output.size()),
+              vertices, density,
+              static_cast<long long>(inline_run.output.size()),
               static_cast<long long>(morsel_size > 0
                                          ? morsel_size
                                          : ProcessEnv().morsel_rows));
 
-  SeriesTable table("threads", {"seconds", "speedup_vs_row",
+  SeriesTable table("threads", {"seconds", "speedup_vs_inline",
                                 "speedup_vs_1thr", "identical"});
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", 1.0);
-  table.AddRow("row path", {FormatSeconds(row_seconds), "1.000", "-", "-"});
+  table.AddRow("inline", {FormatSeconds(inline_seconds), "1.000", "-", "-"});
 
   double columnar_base = 0.0;
   double best_at_8 = 0.0;
@@ -165,17 +167,18 @@ int main(int argc, char** argv) {
       }
       best = std::min(best, result.seconds);
     }
-    const bool identical = SameRows(row.output, result.output);
+    const bool identical = SameRows(inline_run.output, result.output);
     all_identical &= identical;
     if (columnar_base == 0.0) columnar_base = best;
     if (threads == 8) best_at_8 = best;
 
-    char vs_row[32];
-    std::snprintf(vs_row, sizeof(vs_row), "%.3f", row_seconds / best);
+    char vs_inline[32];
+    std::snprintf(vs_inline, sizeof(vs_inline), "%.3f",
+                  inline_seconds / best);
     char vs_one[32];
     std::snprintf(vs_one, sizeof(vs_one), "%.3f", columnar_base / best);
     table.AddRow(std::to_string(threads),
-                 {FormatSeconds(best), vs_row, vs_one,
+                 {FormatSeconds(best), vs_inline, vs_one,
                   identical ? "yes" : "NO"});
 
     MutexLock lock(GlobalObsMutex());
@@ -192,17 +195,17 @@ int main(int argc, char** argv) {
 
   if (!all_identical) {
     std::fprintf(stderr,
-                 "\nFAIL: a sweep point's answer differed from the row "
+                 "\nFAIL: a sweep point's answer differed from the inline "
                  "path — the determinism contract is broken\n");
     return 1;
   }
-  std::printf("\nall sweep points byte-identical to the row path\n");
+  std::printf("\nall sweep points byte-identical to the inline path\n");
 
   {
     MutexLock lock(GlobalObsMutex());
-    GlobalMetrics().RaiseMax("morsel.answer_rows", row.output.size());
-    GlobalMetrics().RaiseMax("morsel.row_path_ns",
-                             static_cast<int64_t>(row_seconds * 1e9));
+    GlobalMetrics().RaiseMax("morsel.answer_rows", inline_run.output.size());
+    GlobalMetrics().RaiseMax("morsel.inline_path_ns",
+                             static_cast<int64_t>(inline_seconds * 1e9));
     GlobalMetrics().AddCounter("morsel.bench.runs", 1);
   }
   const Status written = WriteBenchMetrics("BENCH_morsel.json");

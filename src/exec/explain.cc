@@ -187,7 +187,8 @@ ExplainResult ExplainPlan(const ConjunctiveQuery& query, const Plan& plan,
     }
   }
 
-  // Profile the compiled plan — the one pprd serves — on the row kernels.
+  // Profile the compiled plan — the one pprd serves — inline, one morsel
+  // per operator.
   // With verification on, Compile repeats the tiers above and also proves
   // the compiled plan faithful, the only check that can still fail here.
   Result<PhysicalPlan> compiled = PhysicalPlan::Compile(query, plan, db);

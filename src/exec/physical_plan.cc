@@ -57,26 +57,28 @@ std::unique_ptr<PhysicalNode> CompileNode(
   return phys;
 }
 
-// The one plan walk, over either kernel set: with a null `mx` every
-// operator runs its row kernel (relational/ops.h); with a MorselExec —
-// only MorselDriver passes one — its columnar twin (relational/batch_ops.h).
-// kSortMerge joins have no columnar variant and run the row kernel on both
-// routes. The control flow is the seed interpreter's (executor.cc's
-// EvalNode), budget-exhaustion skips included, so the output and every
-// statistic except peak_bytes are identical on both routes.
+// The one plan walk. Every operator runs the kernels of
+// relational/batch_ops.h under `mx`: MorselDriver passes its own
+// partition, and every other caller (batch executor, pprd, EXPLAIN)
+// passes none and gets WholeInputMorsel(), one morsel per operator.
+// kSortMerge joins run the sort-merge kernel on both routes. The control
+// flow is the seed interpreter's (executor.cc's EvalNode),
+// budget-exhaustion skips included, so the output and every statistic
+// except peak_bytes are identical under every partition.
 class PlanWalk {
  public:
   PlanWalk(JoinAlgorithm join_algorithm, ExecContext& ctx,
            const MorselExec* mx, MorselAccounting* acct)
-      : join_algorithm_(join_algorithm), ctx_(ctx), mx_(mx), acct_(acct) {}
+      : join_algorithm_(join_algorithm),
+        ctx_(ctx),
+        mx_(mx != nullptr ? *mx : WholeInputMorsel()),
+        acct_(acct) {}
 
   Relation Run(const PhysicalNode& node) {
     Relation acc;
     if (node.IsLeaf()) {
       ctx_.set_trace_node(node.node_id);
-      acc = mx_ != nullptr ? ScanAtomColumnar(*node.stored, node.scan, ctx_,
-                                              *mx_, MorselRows())
-                           : ScanAtom(*node.stored, node.scan, ctx_);
+      acc = ScanAtomColumnar(*node.stored, node.scan, ctx_, mx_, MorselRows());
       Account(node.node_id, MorselOp::kScan, acc);
     } else {
       acc = Run(*node.children.front());
@@ -86,38 +88,34 @@ class PlanWalk {
         // Children retargeted the span attribution; point it back at this
         // node for the fold step's join (and the projection below).
         ctx_.set_trace_node(node.node_id);
-        const JoinSpec& spec = node.joins[i - 1];
         if (join_algorithm_ == JoinAlgorithm::kSortMerge) {
           acc = SortMergeJoin(acc, next, ctx_);
-        } else if (mx_ != nullptr) {
-          acc = HashJoinColumnar(acc, next, spec, ctx_, *mx_, MorselRows());
         } else {
-          acc = HashJoin(acc, next, spec, ctx_);
+          acc = HashJoinColumnar(acc, next, node.joins[i - 1], ctx_, mx_,
+                                 MorselRows());
         }
         Account(node.node_id, MorselOp::kJoin, acc);
       }
     }
     if (node.has_project && !ctx_.exhausted()) {
       ctx_.set_trace_node(node.node_id);
-      acc = mx_ != nullptr ? ProjectColumnsColumnar(acc, node.project, ctx_,
-                                                    *mx_, MorselRows())
-                           : ProjectColumns(acc, node.project, ctx_);
+      acc = ProjectColumnsColumnar(acc, node.project, ctx_, mx_, MorselRows());
       Account(node.node_id, MorselOp::kProject, acc);
     }
     return acc;
   }
 
  private:
-  // Where a columnar kernel writes its per-morsel row counts; null when
-  // nobody asked for accounting, which spares the kernels the bookkeeping.
+  // Where a kernel writes its per-morsel row counts; null when nobody
+  // asked for accounting, which spares the kernels the bookkeeping.
   std::vector<int64_t>* MorselRows() {
     return acct_ != nullptr ? &morsel_rows_ : nullptr;
   }
 
-  // Appends one kernel's accounting entry. Row kernels leave no morsel
-  // rows; they report one pseudo morsel holding the whole output (none
-  // when empty), as columnar kernels that bypass the partition do, which
-  // preserves the invariant sum(morsel_rows) == output_rows.
+  // Appends one kernel's accounting entry. The sort-merge join leaves no
+  // morsel rows; it reports one pseudo morsel holding the whole output
+  // (none when empty), which preserves the invariant sum(morsel_rows) ==
+  // output_rows.
   void Account(int32_t node_id, MorselOp op, const Relation& out) {
     if (acct_ == nullptr) return;
     if (morsel_rows_.empty() && !out.empty()) {
@@ -130,7 +128,7 @@ class PlanWalk {
 
   const JoinAlgorithm join_algorithm_;
   ExecContext& ctx_;
-  const MorselExec* const mx_;
+  const MorselExec& mx_;
   MorselAccounting* const acct_;
   std::vector<int64_t> morsel_rows_;
 };

@@ -73,10 +73,10 @@ struct MorselOpAccount {
   int arity = 0;
   /// Output rows materialized (post budget truncation).
   int64_t output_rows = 0;
-  /// Rows each morsel contributed, in morsel-index order. Row kernels and
-  /// degenerate operators that bypass the morsel partition (nullary
-  /// schemas, sort-merge joins, Boolean projections) report one pseudo
-  /// morsel holding the whole output, or none when the output is empty.
+  /// Rows each morsel contributed, in morsel-index order; none for an
+  /// empty input. Operators that bypass the morsel partition (sort-merge
+  /// joins, Boolean projections) report one pseudo morsel holding the
+  /// whole output, or none when the output is empty.
   std::vector<int64_t> morsel_rows;
 };
 
@@ -89,8 +89,8 @@ struct MorselAccounting {
 /// many times. Compilation precomputes, per node, the output schema,
 /// build/probe key columns, payload copy maps, and projection masks;
 /// Execute() is then pure data movement through the flat-hash kernels of
-/// relational/ops.h, with operator scratch bump-allocated from an arena
-/// whose blocks are recycled across operators *and* across runs.
+/// relational/batch_ops.h, with operator scratch bump-allocated from an
+/// arena whose blocks are recycled across operators *and* across runs.
 ///
 /// The logical plan's semantics are untouched: Execute() performs the
 /// same operators in the same order with the same budget/statistics
@@ -142,11 +142,11 @@ class PhysicalPlan {
   /// invocation in execution order (read by EXPLAIN and the
   /// morsel-accounting verifier hook).
   ///
-  /// Without `mx` operators run the row kernels (relational/ops.h), the
-  /// faster choice inline; with one — MorselDriver passes its
-  /// ThreadPool-backed MorselExec — the columnar kernels of
-  /// relational/batch_ops.h. Both routes give the same answer and every
-  /// statistic except peak_bytes.
+  /// Operators run the kernels of relational/batch_ops.h. Without `mx`
+  /// each runs inline as one morsel holding its whole input
+  /// (WholeInputMorsel()); MorselDriver passes its ThreadPool-backed
+  /// MorselExec instead. Both give the same answer and every statistic
+  /// except peak_bytes.
   ExecutionResult ExecuteShared(ExecArena* arena,
                                 Counter tuple_budget = kCounterMax,
                                 TraceSink* trace = nullptr,

@@ -6,6 +6,7 @@
 #include "common/mutex.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "relational/batch_ops.h"
 #include "relational/ops.h"
 
 namespace ppr {
@@ -57,7 +58,8 @@ SemijoinPassResult SemijoinReduce(const ConjunctiveQuery& query,
       Relation& target = relations[static_cast<size_t>(r.target)];
       const Relation& filter = relations[static_cast<size_t>(r.filter)];
       const int64_t before = target.size();
-      target = SemiJoinFiltered(target, filter, r.spec, ctx);
+      target = SemiJoinFilteredColumnar(target, filter, r.spec, ctx,
+                                        WholeInputMorsel());
       removed_this_round += before - target.size();
     }
     out.tuples_removed += removed_this_round;

@@ -39,7 +39,8 @@ struct TraceSpan {
   int32_t node_id = -1;
   int64_t start_ns = 0;
   int64_t duration_ns = 0;
-  /// Total input rows (both sides for joins/semijoins).
+  /// Total input rows (both sides for joins/semijoins); a per-morsel
+  /// span counts the rows of its morsel.
   int64_t rows_in = 0;
   /// Output rows materialized (post budget truncation).
   int64_t rows_out = 0;
@@ -47,7 +48,8 @@ struct TraceSpan {
   int32_t arity_in = 0;
   int32_t arity_out = 0;
   /// Operator footprint: arena scratch high-water mark plus materialized
-  /// output bytes (the quantity ExecStats::NotePeakBytes maximizes).
+  /// output bytes (the quantity ExecStats::NotePeakBytes maximizes); a
+  /// per-morsel span reports its morsel's scratch.
   int64_t bytes = 0;
   /// Rows inserted into the operator's hash structure (join build side,
   /// semijoin filter keys, projection dedup inserts).
@@ -55,13 +57,16 @@ struct TraceSpan {
   /// Lookup operations against the hash structure (join probe passes,
   /// semijoin membership tests). 0 for operators without a probe phase.
   int64_t ht_probe_ops = 0;
-  /// Morsel index when the span covers one morsel of a columnar
-  /// batch-at-a-time operator (relational/batch_ops.h); -1 for whole
-  /// operator spans (the row kernels). Per-morsel spans from one
-  /// operator are merged into the run's sink in morsel-index order.
+  /// Morsel index of the span (relational/batch_ops.h). An operator
+  /// that runs as one morsel (every operator on the inline route)
+  /// records one span, morsel 0, covering the whole operator: both
+  /// inputs' rows, the full footprint. A multi-morsel operator records
+  /// one span per morsel, merged into the run's sink in morsel-index
+  /// order. -1 for operators outside the morsel kernels (the sort-merge
+  /// join).
   int32_t morsel_id = -1;
-  /// Column batches processed by the span (0 for row-kernel spans, 1 for
-  /// per-morsel columnar spans — each morsel is one ColumnBatch wide).
+  /// Column batches processed by the span: 1 per morsel span (each
+  /// morsel is one ColumnBatch wide), 0 for the sort-merge join.
   int64_t batches = 0;
 };
 

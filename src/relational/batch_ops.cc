@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -34,6 +35,18 @@ void MorselExec::ForEachMorsel(
   PPR_CHECK(num_workers >= 1 &&
             worker_arenas.size() >= static_cast<size_t>(num_workers));
   parallel_for(count, body);
+}
+
+const MorselExec& WholeInputMorsel() {
+  // 2^62 rows per morsel: more than any relation can hold, and small
+  // enough that NumMorsels' round-up (rows + morsel_rows - 1) cannot
+  // overflow.
+  static const MorselExec whole = [] {
+    MorselExec mx;
+    mx.morsel_rows = int64_t{1} << 62;
+    return mx;
+  }();
+  return whole;
 }
 
 namespace {
@@ -93,13 +106,129 @@ void FillAccounts(std::vector<int64_t>* accounts,
   }
 }
 
-// Delegated degenerate cases (nullary schemas) report as one pseudo
-// morsel so sum(accounts) == output size still holds.
-void FillDelegatedAccount(std::vector<int64_t>* accounts,
-                          const Relation& out) {
-  if (accounts == nullptr) return;
-  if (!out.empty()) accounts->push_back(out.size());
+// Starts the span of an operator that runs as one morsel holding its
+// whole input. The span covers the whole operator (obs/trace.h): rows_in
+// counts every input, and the kernel sets bytes to the footprint it
+// passes to NotePeakBytes. Multi-morsel runs record one span per morsel
+// instead and pass the recorder a null sink.
+void StartWholeSpan(SpanRecorder& rec, int64_t rows_in, int arity_in,
+                    int arity_out) {
+  if (!rec.enabled()) return;
+  TraceSpan& span = rec.span();
+  span.rows_in = rows_in;
+  span.arity_in = arity_in;
+  span.arity_out = arity_out;
+  span.morsel_id = 0;
+  span.batches = 1;
 }
+
+// Appends `rows` unwritten rows to `out` and returns the first. A nullary
+// relation holds at most the empty tuple: it is added when `rows` > 0,
+// and with no values to write the cursor is null.
+Value* GrowOutput(Relation& out, int64_t rows) {
+  if (out.arity() > 0) return out.GrowRows(rows);
+  PPR_DCHECK(rows <= 1);
+  if (rows > 0) out.AddTuple(std::span<const Value>{});
+  return nullptr;
+}
+
+// Materializes the first `quota` matches of probe rows [begin, end) of
+// a join at `cursor`, in probe-row order then build-row order, so
+// concatenated morsels reproduce the one-morsel order exactly; `group`
+// holds each probe row's group in `index`. Returns the rows written. A
+// nullary output (both inputs nullary) writes no values through its null
+// cursor. Every loop bound is a local: a Value store through `cursor`
+// may alias any int the loop reads through a reference or a lambda
+// capture, which would reload the bound after every value copied.
+int64_t EmitJoinRows(const Relation& left, const Relation& right,
+                     const JoinSpec& spec, bool build_left,
+                     const JoinIndex& index, const int32_t* group,
+                     int64_t begin, int64_t end, int64_t quota,
+                     Value* cursor) {
+  const Relation& probe = build_left ? right : left;
+  const Value* const left_base = left.data();
+  const Value* const right_base = right.data();
+  const Value* const probe_base = probe.data();
+  const int left_arity = left.arity();
+  const int right_arity = right.arity();
+  const int probe_arity = probe.arity();
+  const int* const carry = spec.right_carry_cols.data();
+  const int num_carry = static_cast<int>(spec.right_carry_cols.size());
+  const int out_arity = left_arity + num_carry;
+  int64_t emitted = 0;
+  for (int64_t i = begin; i < end && emitted < quota; ++i) {
+    const std::span<const int64_t> matches = index.Matches(group[i]);
+    if (matches.empty()) continue;
+    const Value* probe_row = probe_base + i * probe_arity;
+    if (build_left) {
+      for (int64_t b : matches) {
+        const Value* left_row = left_base + b * left_arity;
+        for (int c = 0; c < left_arity; ++c) cursor[c] = left_row[c];
+        for (int c = 0; c < num_carry; ++c) {
+          cursor[left_arity + c] = probe_row[carry[c]];
+        }
+        cursor += out_arity;
+        if (++emitted == quota) break;
+      }
+    } else {
+      for (int64_t b : matches) {
+        const Value* right_row = right_base + b * right_arity;
+        for (int c = 0; c < left_arity; ++c) cursor[c] = probe_row[c];
+        for (int c = 0; c < num_carry; ++c) {
+          cursor[left_arity + c] = right_row[carry[c]];
+        }
+        cursor += out_arity;
+        if (++emitted == quota) break;
+      }
+    }
+  }
+  return emitted;
+}
+
+// Gather map of a scan with repeated-attribute checks: the output columns
+// first, then one column per equality check gathering the *repeated*
+// stored column, so the filter compares batch columns against batch
+// columns. check_first[t] is the batch column holding check t's
+// first-occurrence side.
+struct CheckedGather {
+  explicit CheckedGather(const ScanSpec& spec)
+      : out_arity(static_cast<int>(spec.source_cols.size())),
+        cols(spec.source_cols) {
+    cols.reserve(spec.source_cols.size() + spec.equal_checks.size());
+    check_first.reserve(spec.equal_checks.size());
+    for (const auto& [col, first] : spec.equal_checks) {
+      cols.push_back(col);
+      const auto it =
+          std::find(spec.source_cols.begin(), spec.source_cols.end(), first);
+      PPR_CHECK(it != spec.source_cols.end());
+      check_first.push_back(static_cast<int>(it - spec.source_cols.begin()));
+    }
+  }
+
+  int arity() const { return static_cast<int>(cols.size()); }
+
+  // Narrows the batch's selection to the rows whose checks all hold,
+  // keeping row order.
+  void Filter(ColumnBatch& batch) const {
+    for (size_t t = 0; t < check_first.size(); ++t) {
+      const Value* a = batch.column(check_first[t]);
+      const Value* b = batch.column(out_arity + static_cast<int>(t));
+      int32_t* sel = batch.selection();
+      const int64_t alive = batch.num_selected();
+      int64_t kept = 0;
+      for (int64_t j = 0; j < alive; ++j) {
+        const int32_t r = sel[j];
+        sel[kept] = r;
+        kept += (a[r] == b[r]) ? 1 : 0;
+      }
+      batch.SetSelected(kept);
+    }
+  }
+
+  int out_arity;
+  std::vector<int> cols;
+  std::vector<int> check_first;
+};
 
 }  // namespace
 
@@ -107,74 +236,36 @@ Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
                           ExecContext& ctx, const MorselExec& mx,
                           std::vector<int64_t>* morsel_rows_out) {
   if (morsel_rows_out != nullptr) morsel_rows_out->clear();
-  if (spec.out_schema.arity() == 0) {
-    // Nullary binding (the stored relation is nullary): the row kernel's
-    // slow path flips the nonempty bit; at most one row, nothing to
-    // partition.
-    Relation out = ScanAtom(stored, spec, ctx);
-    FillDelegatedAccount(morsel_rows_out, out);
-    return out;
-  }
-
   Relation out{spec.out_schema};
-  if (stored.empty()) {
-    // Mirror the row kernel: no scratch for empty inputs, so peak_bytes
-    // stays an honest 0 on runs against empty databases.
-    ctx.stats().NoteIntermediate(out.arity(), 0);
-    return out;
-  }
-
   const int in_arity = stored.arity();
   const int out_arity = out.arity();
   const int64_t in_rows = stored.size();
   const Value* base = stored.data();
-  const int num_checks = static_cast<int>(spec.equal_checks.size());
-
-  // Extended gather map: the output columns first, then one column per
-  // equality check gathering the *repeated* stored column, so the filter
-  // below compares batch columns against batch columns. check_first[t]
-  // is the batch column holding the check's first-occurrence side.
-  std::vector<int> ext_cols = spec.source_cols;
-  std::vector<int> check_first;
-  ext_cols.reserve(spec.source_cols.size() + spec.equal_checks.size());
-  check_first.reserve(spec.equal_checks.size());
-  for (const auto& [col, first] : spec.equal_checks) {
-    ext_cols.push_back(col);
-    int d = -1;
-    for (size_t i = 0; i < spec.source_cols.size(); ++i) {
-      if (spec.source_cols[i] == first) {
-        d = static_cast<int>(i);
-        break;
-      }
-    }
-    PPR_CHECK(d >= 0);
-    check_first.push_back(d);
-  }
+  // Only repeated attributes need the extended gather map; a plain scan
+  // gathers spec.source_cols as they are.
+  std::optional<CheckedGather> checked;
+  if (!spec.equal_checks.empty()) checked.emplace(spec);
 
   const int64_t morsel_rows = mx.effective_morsel_rows();
   const int64_t num_morsels = mx.NumMorsels(in_rows);
 
-  // Single-morsel fast path: with a one-morsel partition the offsets
-  // dance degenerates — phase A would read every row only to learn the
-  // single offset (0). Gather, filter and clamp in one pass instead.
-  // Rows, stats and accounts match the general path at any worker count
-  // because one morsel leaves the scheduler nothing to permute.
-  if (num_morsels == 1) {
+  // Whole-input path: with at most one morsel the offsets dance
+  // degenerates — phase A would read every row only to learn the single
+  // offset (0). Gather, filter and clamp in one pass instead. Rows, stats
+  // and accounts match the general path at any worker count because one
+  // morsel leaves the scheduler nothing to permute.
+  if (num_morsels <= 1) {
+    SpanRecorder rec(ctx.tracer(), TraceOp::kScan, ctx.trace_node());
+    StartWholeSpan(rec, in_rows, in_arity, out_arity);
     ArenaScope scope(ctx.arena());
-    SpanRecorder mrec(ctx.tracer(), TraceOp::kScan, ctx.trace_node());
-    if (mrec.enabled()) {
-      mrec.span().rows_in = in_rows;
-      mrec.span().arity_in = in_arity;
-      mrec.span().arity_out = out_arity;
-      mrec.span().morsel_id = 0;
-      mrec.span().batches = 1;
-    }
+    // An empty input allocates no scratch, so peak_bytes stays an honest
+    // 0 on runs against empty databases.
     int64_t limit = 0;
-    if (num_checks == 0) {
-      // No repeated-attribute checks: the scan is a pure column gather,
-      // written straight into the output with no batch round trip.
+    if (in_rows > 0 && !checked) {
+      // A pure column gather, written straight into the output with no
+      // batch round trip (no columns at all for a nullary binding).
       limit = ctx.ClampToHeadroom(in_rows);
-      Value* out_base = out.GrowRows(limit);
+      Value* out_base = GrowOutput(out, limit);
       for (int c = 0; c < out_arity; ++c) {
         const Value* src = base + spec.source_cols[static_cast<size_t>(c)];
         Value* dst = out_base + c;
@@ -182,36 +273,26 @@ Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
           dst[i * out_arity] = src[i * in_arity];
         }
       }
-    } else {
-      ColumnBatch batch(out_arity + num_checks, in_rows, ctx.arena());
-      batch.GatherRows(base, in_arity, 0, in_rows, ext_cols.data());
-      for (int t = 0; t < num_checks; ++t) {
-        const Value* a = batch.column(check_first[static_cast<size_t>(t)]);
-        const Value* b = batch.column(out_arity + t);
-        int32_t* sel = batch.selection();
-        const int64_t alive = batch.num_selected();
-        int64_t kept = 0;
-        for (int64_t j = 0; j < alive; ++j) {
-          const int32_t r = sel[j];
-          sel[kept] = r;
-          kept += (a[r] == b[r]) ? 1 : 0;
-        }
-        batch.SetSelected(kept);
-      }
+    } else if (in_rows > 0) {
+      ColumnBatch batch(checked->arity(), in_rows, ctx.arena());
+      batch.GatherRows(base, in_arity, 0, in_rows, checked->cols.data());
+      checked->Filter(batch);
       // Budget truncation keeps the first survivors, in row order.
       limit = ctx.ClampToHeadroom(batch.num_selected());
       batch.SetSelected(limit);
       batch.ScatterSelectedTo(out.GrowRows(limit), out_arity);
     }
     if (limit > 0) ctx.ChargeTuples(limit);
-    if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, limit);
-    const auto scratch_bytes = static_cast<int64_t>(scope.bytes_allocated());
-    if (mrec.enabled()) {
-      mrec.span().rows_out = limit;
-      mrec.span().bytes = scratch_bytes;
+    if (morsel_rows_out != nullptr) {
+      morsel_rows_out->assign(static_cast<size_t>(num_morsels), limit);
     }
-    ctx.stats().NotePeakBytes(static_cast<Counter>(scratch_bytes) +
-                              out.byte_size());
+    const Counter footprint =
+        static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
+    if (rec.enabled()) {
+      rec.span().rows_out = out.size();
+      rec.span().bytes = footprint;
+    }
+    ctx.stats().NotePeakBytes(footprint);
     ctx.stats().NoteIntermediate(out.arity(), out.size());
     return out;
   }
@@ -221,7 +302,7 @@ Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
   std::vector<int64_t> counts(static_cast<size_t>(num_morsels), 0);
   mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
     const auto [begin, end] = RangeOf(m, morsel_rows, in_rows);
-    if (num_checks == 0) {
+    if (!checked) {
       counts[static_cast<size_t>(m)] = end - begin;
       return;
     }
@@ -251,6 +332,9 @@ Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
   Value* out_base = out.GrowRows(limit);
   std::vector<int64_t> scratch(static_cast<size_t>(num_morsels), 0);
   MorselTraceShards shards(ctx.tracer(), num_morsels);
+  const int batch_arity = checked ? checked->arity() : out_arity;
+  const int* gather_cols =
+      checked ? checked->cols.data() : spec.source_cols.data();
 
   // Phase B: gather -> filter (selection refinement) -> scatter into the
   // morsel's precomputed slice of the output.
@@ -271,21 +355,9 @@ Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
       mrec.span().morsel_id = static_cast<int32_t>(m);
       mrec.span().batches = 1;
     }
-    ColumnBatch batch(out_arity + num_checks, n, warena);
-    batch.GatherRows(base, in_arity, begin, n, ext_cols.data());
-    for (int t = 0; t < num_checks; ++t) {
-      const Value* a = batch.column(check_first[static_cast<size_t>(t)]);
-      const Value* b = batch.column(out_arity + t);
-      int32_t* sel = batch.selection();
-      const int64_t alive = batch.num_selected();
-      int64_t kept = 0;
-      for (int64_t j = 0; j < alive; ++j) {
-        const int32_t r = sel[j];
-        sel[kept] = r;
-        kept += (a[r] == b[r]) ? 1 : 0;
-      }
-      batch.SetSelected(kept);
-    }
+    ColumnBatch batch(batch_arity, n, warena);
+    batch.GatherRows(base, in_arity, begin, n, gather_cols);
+    if (checked) checked->Filter(batch);
     PPR_DCHECK(batch.num_selected() == counts[static_cast<size_t>(m)]);
     // Budget truncation keeps the first quota survivors, in row order.
     batch.SetSelected(quota);
@@ -316,16 +388,25 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
                           const MorselExec& mx,
                           std::vector<int64_t>* morsel_rows_out) {
   if (morsel_rows_out != nullptr) morsel_rows_out->clear();
-  if (spec.out_schema.arity() == 0) {
-    // Both inputs nullary: at most one output row; the row kernel's
-    // AddTuple slow path handles the nonempty bit.
-    Relation out = HashJoin(left, right, spec, ctx);
-    FillDelegatedAccount(morsel_rows_out, out);
-    return out;
-  }
-
   ctx.stats().num_joins++;
   Relation out{spec.out_schema};
+
+  // Build on the smaller side, probe with the larger.
+  const bool build_left = left.size() <= right.size();
+  const Relation& build = build_left ? left : right;
+  const Relation& probe = build_left ? right : left;
+  const int left_arity = left.arity();
+  const int right_arity = right.arity();
+  const int out_arity = out.arity();
+  const int probe_arity = probe.arity();
+  const int64_t probe_rows = probe.size();
+  const int64_t morsel_rows = mx.effective_morsel_rows();
+  const int64_t num_morsels = mx.NumMorsels(probe_rows);
+
+  SpanRecorder rec(num_morsels <= 1 ? ctx.tracer() : nullptr, TraceOp::kJoin,
+                   ctx.trace_node());
+  StartWholeSpan(rec, left.size() + right.size(),
+                 std::max(left_arity, right_arity), out_arity);
   if (left.empty() || right.empty()) {
     ctx.stats().NoteIntermediate(out.arity(), 0);
     return out;
@@ -334,28 +415,11 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
   // Shared build phase on the calling thread; the index is read-only
   // once constructed, so morsel workers probe it without locks.
   ArenaScope shared_scope(ctx.arena());
-  const bool build_left = left.size() <= right.size();
-  const Relation& build = build_left ? left : right;
-  const Relation& probe = build_left ? right : left;
   const std::vector<int>& build_key_cols =
       build_left ? spec.left_key_cols : spec.right_key_cols;
   const std::vector<int>& probe_key_cols =
       build_left ? spec.right_key_cols : spec.left_key_cols;
   const JoinIndex index(build, build_key_cols, ctx.arena());
-
-  const int left_arity = left.arity();
-  const int right_arity = right.arity();
-  const int out_arity = out.arity();
-  const int probe_arity = probe.arity();
-  const int64_t probe_rows = probe.size();
-  const Value* left_base = left.data();
-  const Value* right_base = right.data();
-  const Value* probe_base = probe.data();
-  const int* carry = spec.right_carry_cols.data();
-  const int num_carry = static_cast<int>(spec.right_carry_cols.size());
-
-  const int64_t morsel_rows = mx.effective_morsel_rows();
-  const int64_t num_morsels = mx.NumMorsels(probe_rows);
 
   // Probe keys are read in place through strided column views, and the
   // counting probe keeps each row's group id so the emit pass reads its
@@ -376,70 +440,28 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
                      });
     return total;
   };
-  // Materializes the first `quota` matches of probe rows [begin, end) at
-  // `cursor`, in probe-row order then build-row order — the sequential
-  // kernel's order, so concatenated morsels reproduce it exactly.
-  const auto emit_range = [&](int64_t begin, int64_t end, int64_t quota,
-                              Value* cursor) {
-    int64_t emitted = 0;
-    for (int64_t i = begin; i < end && emitted < quota; ++i) {
-      const std::span<const int64_t> matches = index.Matches(group[i]);
-      if (matches.empty()) continue;
-      const Value* probe_row = probe_base + i * probe_arity;
-      if (build_left) {
-        for (int64_t b : matches) {
-          const Value* left_row = left_base + b * left_arity;
-          for (int c = 0; c < left_arity; ++c) cursor[c] = left_row[c];
-          for (int c = 0; c < num_carry; ++c) {
-            cursor[left_arity + c] = probe_row[carry[c]];
-          }
-          cursor += out_arity;
-          if (++emitted == quota) break;
-        }
-      } else {
-        for (int64_t b : matches) {
-          const Value* right_row = right_base + b * right_arity;
-          for (int c = 0; c < left_arity; ++c) cursor[c] = probe_row[c];
-          for (int c = 0; c < num_carry; ++c) {
-            cursor[left_arity + c] = right_row[carry[c]];
-          }
-          cursor += out_arity;
-          if (++emitted == quota) break;
-        }
-      }
-    }
-    return emitted;
-  };
 
-  // Single-morsel fast path: the per-morsel bookkeeping (counts,
-  // offsets, trace shards) exists to stitch independent morsels back
-  // together; with one morsel it is pure overhead. Identical rows, stats
-  // and accounts at any worker count — a one-morsel partition leaves the
+  // Single-morsel path: the per-morsel bookkeeping (counts, offsets,
+  // trace shards) exists to stitch independent morsels back together;
+  // with one morsel it is pure overhead. Identical rows, stats and
+  // accounts at any worker count — a one-morsel partition leaves the
   // scheduler nothing to permute.
   if (num_morsels == 1) {
-    SpanRecorder mrec(ctx.tracer(), TraceOp::kJoin, ctx.trace_node());
-    if (mrec.enabled()) {
-      mrec.span().rows_in = probe_rows;
-      mrec.span().arity_in = std::max(left_arity, right_arity);
-      mrec.span().arity_out = static_cast<int32_t>(out_arity);
-      mrec.span().morsel_id = 0;
-      mrec.span().batches = 1;
-      mrec.span().ht_build_rows = build.size();
-    }
     const int64_t limit = ctx.ClampToHeadroom(count_range(0, probe_rows));
-    const int64_t emitted =
-        emit_range(0, probe_rows, limit, out.GrowRows(limit));
+    EmitJoinRows(left, right, spec, build_left, index, group, 0, probe_rows,
+                 limit, GrowOutput(out, limit));
     if (limit > 0) ctx.ChargeTuples(limit);
     if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, limit);
-    if (mrec.enabled()) {
-      mrec.span().rows_out = emitted;
-      mrec.span().bytes =
-          static_cast<int64_t>(probe_rows * sizeof(int32_t));
-      mrec.span().ht_probe_ops = probe_rows;
-    }
-    ctx.stats().NotePeakBytes(
+    const Counter footprint =
         static_cast<Counter>(shared_scope.bytes_allocated()) +
-        out.byte_size());
+        out.byte_size();
+    if (rec.enabled()) {
+      rec.span().rows_out = out.size();
+      rec.span().bytes = footprint;
+      rec.span().ht_build_rows = build.size();
+      rec.span().ht_probe_ops = probe_rows;
+    }
+    ctx.stats().NotePeakBytes(footprint);
     ctx.stats().NoteIntermediate(out.arity(), out.size());
     return out;
   }
@@ -479,7 +501,8 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
       mrec.span().batches = 1;
     }
     const int64_t emitted =
-        emit_range(begin, end, quota, out_base + off * out_arity);
+        EmitJoinRows(left, right, spec, build_left, index, group, begin, end,
+                     quota, out_base + off * out_arity);
     if (mrec.enabled()) {
       mrec.span().rows_out = emitted;
       mrec.span().bytes = static_cast<int64_t>(n * sizeof(int32_t));
@@ -503,20 +526,25 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
   if (morsel_rows_out != nullptr) morsel_rows_out->clear();
   ctx.stats().num_projections++;
   Relation out{spec.out_schema};
-  if (spec.cols.empty()) {
+  const int key_width = static_cast<int>(spec.cols.size());
+  const int in_arity = input.arity();
+  const int64_t in_rows = input.size();
+  const int64_t morsel_rows = mx.effective_morsel_rows();
+  const int64_t num_morsels = mx.NumMorsels(in_rows);
+
+  // A Boolean projection keeps no column, so it never partitions.
+  SpanRecorder rec(key_width == 0 || num_morsels <= 1 ? ctx.tracer()
+                                                      : nullptr,
+                   TraceOp::kProject, ctx.trace_node());
+  StartWholeSpan(rec, in_rows, in_arity, key_width);
+  if (key_width == 0) {
     // Boolean projection: nonempty input -> the single empty tuple.
-    SpanRecorder rec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
-    if (rec.enabled()) {
-      rec.span().rows_in = input.size();
-      rec.span().arity_in = input.arity();
-      rec.span().arity_out = 0;
-    }
     if (!input.empty()) {
       out.AddTuple(std::span<const Value>{});
       ctx.ChargeTuples(1);
+      if (morsel_rows_out != nullptr) morsel_rows_out->push_back(1);
     }
     if (rec.enabled()) rec.span().rows_out = out.size();
-    FillDelegatedAccount(morsel_rows_out, out);
     ctx.stats().NoteIntermediate(0, out.size());
     return out;
   }
@@ -525,26 +553,12 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
     return out;
   }
 
-  const int key_width = static_cast<int>(spec.cols.size());
-  const int in_arity = input.arity();
-  const int64_t in_rows = input.size();
-  const int64_t morsel_rows = mx.effective_morsel_rows();
-  const int64_t num_morsels = mx.NumMorsels(in_rows);
-
-  // Single-morsel fast path: one morsel means the morsel-local index IS
-  // the global dedup — the merge pass would re-hash every distinct key
-  // into a second index just to recover an order it already has. Dedup
-  // straight into the output instead, as the row kernel does.
+  // Single-morsel path: one morsel means the morsel-local index IS the
+  // global dedup — the merge pass would re-hash every distinct key into a
+  // second index just to recover an order it already has. Dedup straight
+  // into the output instead.
   if (num_morsels == 1) {
     ArenaScope scope(ctx.arena());
-    SpanRecorder mrec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
-    if (mrec.enabled()) {
-      mrec.span().rows_in = in_rows;
-      mrec.span().arity_in = in_arity;
-      mrec.span().arity_out = key_width;
-      mrec.span().morsel_id = 0;
-      mrec.span().batches = 1;
-    }
     // Zero-copy column view of the morsel: column c is the strided
     // sequence in[cols[c]], in[cols[c] + in_arity], ... — the block
     // probe walks it with stride in_arity, so the morsel is deduplicated
@@ -552,7 +566,11 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
     // exactly once either way; the materialized batch would only double
     // the traffic).
     const Value* const* col_ptrs = KeyColumns(input, spec.cols, ctx.arena());
-    // The output rows are the key store (see ProjectColumns).
+    // The output rows are the index's key store: a truncated run stops
+    // after budget_headroom() distinct keys, so min(input rows, headroom)
+    // rows hold every key the loop can insert. Distinct keys land in
+    // first-occurrence order exactly where the output wants them; the
+    // reserved rows count toward the footprint until the truncate below.
     const int64_t reserve_rows = ctx.ClampToHeadroom(in_rows);
     FlatKeyIndex seen(reserve_rows, key_width, ctx.arena(),
                       out.GrowRows(reserve_rows));
@@ -566,14 +584,15 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
     }
     out.TruncateRows(seen.num_keys());
     if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
-    if (mrec.enabled()) {
-      mrec.span().rows_out = out.size();
-      mrec.span().ht_build_rows = out.size();
-      mrec.span().ht_probe_ops = probed;
-      mrec.span().bytes = static_cast<int64_t>(scope.bytes_allocated());
+    const Counter footprint =
+        static_cast<Counter>(scope.bytes_allocated()) + reserved_bytes;
+    if (rec.enabled()) {
+      rec.span().rows_out = out.size();
+      rec.span().bytes = footprint;
+      rec.span().ht_build_rows = out.size();  // distinct keys inserted
+      rec.span().ht_probe_ops = probed;  // one insert-or-find per input row
     }
-    ctx.stats().NotePeakBytes(
-        static_cast<Counter>(scope.bytes_allocated()) + reserved_bytes);
+    ctx.stats().NotePeakBytes(footprint);
     ctx.stats().NoteIntermediate(out.arity(), out.size());
     return out;
   }
@@ -631,8 +650,8 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
 
   // Merge in morsel-index order: concatenating the morsel-local
   // first-occurrence orders and deduplicating sequentially reproduces
-  // the row kernel's global first-occurrence order exactly. The output
-  // rows are the merge index's key store (see ProjectColumns).
+  // the one-morsel global first-occurrence order exactly. The output rows
+  // are the merge index's key store (see the single-morsel path).
   ArenaScope merge_scope(ctx.arena());
   const int64_t reserve_rows = ctx.ClampToHeadroom(sum_local);
   FlatKeyIndex seen(reserve_rows, key_width, ctx.arena(),
@@ -679,16 +698,17 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
                                   const MorselExec& mx,
                                   std::vector<int64_t>* morsel_rows_out) {
   if (morsel_rows_out != nullptr) morsel_rows_out->clear();
-  if (left.arity() == 0) {
-    // Nullary left: at most one row, and the output needs the nonempty
-    // bit — the row kernel's Emit slow path.
-    Relation out = SemiJoinFiltered(left, right, spec, ctx);
-    FillDelegatedAccount(morsel_rows_out, out);
-    return out;
-  }
-
   ctx.stats().num_semijoins++;
   Relation out{left.schema()};
+  const int left_arity = left.arity();
+  const int64_t left_rows = left.size();
+  const int64_t morsel_rows = mx.effective_morsel_rows();
+  const int64_t num_morsels = mx.NumMorsels(left_rows);
+
+  SpanRecorder rec(num_morsels <= 1 ? ctx.tracer() : nullptr,
+                   TraceOp::kSemiJoin, ctx.trace_node());
+  StartWholeSpan(rec, left_rows + right.size(),
+                 std::max(left_arity, right.arity()), left_arity);
   if (left.empty()) return out;
   const bool no_common = spec.left_key_cols.empty();
   if (no_common && right.empty()) {
@@ -708,12 +728,45 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
   keys.InsertRows(right_cols, right.arity(), 0, right.size(),
                   [](int64_t, int64_t, bool) { return true; });
 
-  const int left_arity = left.arity();
-  const int64_t left_rows = left.size();
   const Value* left_base = left.data();
 
-  const int64_t morsel_rows = mx.effective_morsel_rows();
-  const int64_t num_morsels = mx.NumMorsels(left_rows);
+  // Without shared attributes the keys are nullary: right's one empty key
+  // is found for every left row.
+  //
+  // Single-morsel path: one probe pass records the survivors in one
+  // selection vector, which is copied out row by row — no per-morsel
+  // arenas or offsets. A nullary left (at most the empty tuple) copies no
+  // values through its null cursor.
+  if (num_morsels == 1) {
+    int32_t* sel = ctx.arena().AllocSpan<int32_t>(left_rows).data();
+    int64_t kept = 0;
+    keys.FindRows(left_cols, left_arity, 0, left_rows,
+                  [&](int64_t row, int64_t id) {
+                    if (id >= 0) sel[kept++] = static_cast<int32_t>(row);
+                    return true;
+                  });
+    const int64_t limit = ctx.ClampToHeadroom(kept);
+    Value* cursor = GrowOutput(out, limit);
+    for (int64_t j = 0; j < limit; ++j) {
+      const Value* row = left_base + int64_t{sel[j]} * left_arity;
+      for (int c = 0; c < left_arity; ++c) cursor[c] = row[c];
+      cursor += left_arity;
+    }
+    if (limit > 0) ctx.ChargeTuples(limit);
+    if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, limit);
+    const Counter footprint =
+        static_cast<Counter>(shared_scope.bytes_allocated()) +
+        out.byte_size();
+    if (rec.enabled()) {
+      rec.span().rows_out = out.size();
+      rec.span().bytes = footprint;
+      rec.span().ht_build_rows = right.size();
+      rec.span().ht_probe_ops = no_common ? 0 : left_rows;
+    }
+    ctx.stats().NotePeakBytes(footprint);
+    ctx.stats().NoteIntermediate(out.arity(), out.size());
+    return out;
+  }
 
   // Phase A: probe per morsel, recording survivors in a per-morsel
   // selection vector (persisted in a per-morsel arena so phase B, which
@@ -723,15 +776,9 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
   std::vector<int64_t> counts(static_cast<size_t>(num_morsels), 0);
   mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
     const auto [begin, end] = RangeOf(m, morsel_rows, left_rows);
-    const int64_t n = end - begin;
-    if (no_common) {
-      // Right is nonempty: every left row survives (identity selection,
-      // not materialized).
-      counts[static_cast<size_t>(m)] = n;
-      return;
-    }
-    int32_t* sel =
-        sel_arenas[static_cast<size_t>(m)].AllocSpan<int32_t>(n).data();
+    int32_t* sel = sel_arenas[static_cast<size_t>(m)]
+                       .AllocSpan<int32_t>(end - begin)
+                       .data();
     int64_t kept = 0;
     keys.FindRows(left_cols, left_arity, begin, end,
                   [&](int64_t row, int64_t id) {
@@ -774,16 +821,11 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
           sel_arenas[static_cast<size_t>(m)].bytes_in_use());
     }
     Value* cursor = out_base + off * left_arity;
-    if (no_common) {
-      const Value* src = left_base + begin * left_arity;
-      std::copy(src, src + quota * left_arity, cursor);
-    } else {
-      const int32_t* sel = sels[static_cast<size_t>(m)];
-      for (int64_t j = 0; j < quota; ++j) {
-        const Value* row = left_base + (begin + sel[j]) * left_arity;
-        for (int c = 0; c < left_arity; ++c) cursor[c] = row[c];
-        cursor += left_arity;
-      }
+    const int32_t* sel = sels[static_cast<size_t>(m)];
+    for (int64_t j = 0; j < quota; ++j) {
+      const Value* row = left_base + (begin + sel[j]) * left_arity;
+      for (int c = 0; c < left_arity; ++c) cursor[c] = row[c];
+      cursor += left_arity;
     }
     if (mrec.enabled()) mrec.span().rows_out = quota;
   });

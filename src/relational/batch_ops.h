@@ -13,35 +13,38 @@
 
 namespace ppr {
 
-/// Columnar, morsel-driven variants of the four operator kernels
-/// (relational/ops.h). Each kernel partitions its probe/input side into
+/// The operator kernels (specs in relational/ops.h): columnar and
+/// morsel-driven. Each kernel partitions its probe/input side into
 /// fixed-size morsels and materializes every morsel into a precomputed
 /// disjoint slice of the output. The scan runs its morsels through a
 /// ColumnBatch (column_batch.h) — gather, filter via selection vector,
 /// scatter; the hash kernels read their keys in place through strided
 /// column views of the input rows (FlatKeyIndex::InsertRows / FindRows).
+/// An operator whose input fits one morsel skips the partition
+/// bookkeeping; inline callers (plan walks without a driver, the
+/// one-shot wrappers of ops.h) pass WholeInputMorsel() so that every
+/// operator runs that way.
 ///
 /// Determinism contract (the property tests and the morsel driver rely
 /// on it): for the same inputs, spec, and morsel size, the output
 /// relation and every ExecStats field are byte-identical regardless of
 /// how many workers run the morsels — including under tuple-budget
-/// truncation. The recipe:
+/// truncation. Across morsel sizes everything but peak_bytes is
+/// identical. The recipe:
 ///
 ///  - The morsel partition depends only on the row count and morsel
 ///    size, never on the worker count.
 ///  - A counting phase computes exact per-morsel output sizes; prefix
 ///    sums turn them into disjoint output ranges, and the truncation
-///    point is min(total, budget_headroom()) — the same row the
-///    sequential kernel would stop at.
+///    point is min(total, budget_headroom()) — the same row a
+///    sequential emit loop would stop at.
 ///  - Per-morsel scratch is measured per morsel and folded in
 ///    morsel-index order; per-morsel trace spans are recorded into
 ///    private shards and merged in morsel-index order.
 ///
-/// The one intentional difference from the row kernels: peak_bytes
-/// composes differently (shared build scratch + the sum of per-morsel
-/// scratch + output bytes, instead of one sequential scope), so its
-/// value may differ from the row path's — it is still identical across
-/// worker counts and morsel schedules for a fixed morsel size.
+/// peak_bytes composes per partition: shared build scratch, plus the sum
+/// of per-morsel scratch, plus output bytes. It is identical across
+/// worker counts and schedules for a fixed morsel size.
 ///
 /// Layering: this header knows nothing about threads. MorselExec is a
 /// dependency-free seam — the morsel driver in src/runtime fills in a
@@ -84,36 +87,44 @@ struct MorselExec {
                      const std::function<void(int64_t, int)>& body) const;
 };
 
-/// Columnar scan kernel. Oracle-equal to ScanAtom: same output (rows and
-/// order), same stats except peak_bytes, same budget truncation. When
-/// `morsel_rows_out` is non-null it receives the per-morsel emitted row
-/// counts in morsel order (the accounting the physical verifier checks:
-/// their sum equals the output size).
+/// The inline partition: one morsel holding each operator's whole input,
+/// run on the calling thread with the context arena. Its morsel size is a
+/// fixed constant, so PPR_MORSEL_SIZE never applies. PhysicalPlan uses it
+/// when no MorselExec is passed, and so do the one-shot wrappers
+/// (NaturalJoin, Project, SemiJoin, BindAtom).
+const MorselExec& WholeInputMorsel();
+
+/// Scan kernel: instantiates a stored relation under an atom binding.
+/// Morsels gather, filter on repeated attributes and scatter into their
+/// output slices. When `morsel_rows_out` is non-null it receives the
+/// per-morsel emitted row counts in morsel order (the accounting the
+/// physical verifier checks: their sum equals the output size).
 Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
                           ExecContext& ctx, const MorselExec& mx,
                           std::vector<int64_t>* morsel_rows_out = nullptr);
 
-/// Columnar hash-join kernel: shared build-side index constructed once on
-/// the calling thread, probe side partitioned into morsels (two-phase:
-/// a counting probe that keeps each probe row's group id, then
-/// materialization from the kept ids into exact disjoint ranges).
-/// Oracle-equal to HashJoin (see ScanAtomColumnar).
+/// Hash-join kernel: a shared index on the smaller input, constructed
+/// once on the calling thread, and the larger input probed in morsels
+/// (two-phase: a counting probe that keeps each probe row's group id,
+/// then materialization from the kept ids into exact disjoint ranges).
+/// Output rows come in probe-row order, then build-row order.
 Relation HashJoinColumnar(const Relation& left, const Relation& right,
                           const JoinSpec& spec, ExecContext& ctx,
                           const MorselExec& mx,
                           std::vector<int64_t>* morsel_rows_out = nullptr);
 
-/// Columnar projection kernel (DISTINCT): morsel-local dedup into
-/// per-morsel FlatKeyIndexes, then a sequential merge in morsel-index
-/// order — which reproduces the sequential kernel's first-occurrence
-/// emit order exactly. Oracle-equal to ProjectColumns.
+/// Projection kernel (DISTINCT): morsel-local dedup into per-morsel
+/// FlatKeyIndexes, then a sequential merge in morsel-index order — which
+/// reproduces the one-morsel first-occurrence order exactly. An empty
+/// column list yields a nullary relation that is nonempty iff the input
+/// is (Boolean queries).
 Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
                                 ExecContext& ctx, const MorselExec& mx,
                                 std::vector<int64_t>* morsel_rows_out = nullptr);
 
-/// Columnar semijoin kernel: shared key filter built from the right side,
-/// left side probed per morsel with survivors recorded in selection
-/// vectors. Oracle-equal to SemiJoinFiltered.
+/// Semijoin kernel: left tuples with at least one match in right. A
+/// shared key filter is built from the right side, and the left side is
+/// probed per morsel with survivors recorded in selection vectors.
 Relation SemiJoinFilteredColumnar(
     const Relation& left, const Relation& right, const SemiJoinSpec& spec,
     ExecContext& ctx, const MorselExec& mx,

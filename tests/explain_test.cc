@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "analysis/verifier.h"
@@ -194,6 +196,32 @@ TEST(ExplainTest, AnalyzeAnnotatesEveryNode) {
     }
   }
   EXPECT_TRUE(any_prediction);
+}
+
+// ANALYZE takes each node's actual_bytes from its operator spans, and a
+// span's bytes is the operator footprint passed to NotePeakBytes
+// (obs/trace.h). So the largest node's actual_bytes is the run's
+// peak_bytes, whatever the plan shape.
+TEST(ExplainTest, AnalyzeLargestNodeBytesIsPeakBytes) {
+  Database db = ThreeColorDb();
+  ConjunctiveQuery q = PentagonQuery();
+  const std::pair<const char*, Plan> plans[] = {
+      {"straightforward", StraightforwardPlan(q)},
+      {"early projection", EarlyProjectionPlan(q)},
+      {"bucket elimination (MCS)", BucketEliminationPlanMcs(q, nullptr)},
+  };
+  for (const auto& [name, plan] : plans) {
+    const ExplainResult r = ExplainPlan(q, plan, db, 3.0,
+                                        /*tuple_budget=*/kCounterMax,
+                                        /*analyze=*/true);
+    ASSERT_TRUE(r.status.ok()) << name << ": " << r.status.ToString();
+    int64_t largest = 0;
+    for (const NodeProfile& p : r.nodes) {
+      largest = std::max(largest, p.actual_bytes);
+    }
+    EXPECT_GT(largest, 0) << name;
+    EXPECT_EQ(largest, r.stats.peak_bytes) << name;
+  }
 }
 
 TEST(ExplainTest, NonAnalyzeOutputIdenticalUnderGlobalTracing) {

@@ -504,7 +504,7 @@ TEST(JoinIndexTest, MatchSpansAscendInBuildRowOrder) {
 
 // Projection dedups into its output rows: the reserved store holds
 // min(input rows, budget headroom) rows. At headroom 5, distinct - 1,
-// distinct and distinct + 1, and unbudgeted, every kernel must emit the
+// distinct and distinct + 1, and unbudgeted, every partition must emit the
 // first-occurrence prefix of the naive reference, charge exactly that
 // many tuples, count the whole reserved store in peak_bytes, and report
 // the probes it made. The input repeats each of its 60 keys about 65
@@ -548,17 +548,15 @@ class InPlaceProjectTest : public ::testing::Test {
     distinct_ = seen;
   }
 
-  // How a kernel's project spans count probes when the budget stops it
+  // How the project spans count probes when the budget stops the kernel
   // at row `stop` (-1: not stopped).
   enum class Probes {
-    kRowsThroughStop,  // row and single morsel: every row probed
+    kRowsThroughStop,  // single morsel: every row through the stop probed
     kAllRows,          // multi-morsel: phase A probes every row; the
                        // budget stops only the merge
   };
 
-  void Check(Relation (*kernel)(const Relation&, const ProjectSpec&,
-                                ExecContext&, const MorselExec*),
-             const MorselExec* mx, int64_t store_upper, Probes probes,
+  void Check(const MorselExec& mx, int64_t store_upper, Probes probes,
              const char* name) {
     const auto d = static_cast<int64_t>(distinct_.size());
     ASSERT_EQ(d, 60);  // every key of the 5 x 4 x 3 domain, repeated
@@ -573,7 +571,12 @@ class InPlaceProjectTest : public ::testing::Test {
       ASSERT_EQ(ctx.budget_headroom(), headroom);
       TraceSink sink(1024);
       ctx.set_tracer(&sink);
-      const Relation out = kernel(input_, spec_, ctx, mx);
+      std::vector<int64_t> accounts;
+      const Relation out =
+          ProjectColumnsColumnar(input_, spec_, ctx, mx, &accounts);
+      int64_t accounted = 0;
+      for (int64_t a : accounts) accounted += a;
+      EXPECT_EQ(accounted, out.size());
       const int64_t want_rows = std::min<Counter>(d, headroom);
       ASSERT_EQ(out.size(), want_rows);
       for (int64_t i = 0; i < want_rows; ++i) {
@@ -610,30 +613,10 @@ class InPlaceProjectTest : public ::testing::Test {
   int64_t sum_morsel_distinct_ = 0;
 };
 
-Relation RowProject(const Relation& in, const ProjectSpec& spec,
-                    ExecContext& ctx, const MorselExec* /*mx*/) {
-  return ProjectColumns(in, spec, ctx);
-}
-
-Relation ColumnarProject(const Relation& in, const ProjectSpec& spec,
-                         ExecContext& ctx, const MorselExec* mx) {
-  std::vector<int64_t> accounts;
-  Relation out = ProjectColumnsColumnar(in, spec, ctx, *mx, &accounts);
-  int64_t sum = 0;
-  for (int64_t a : accounts) sum += a;
-  EXPECT_EQ(sum, out.size());
-  return out;
-}
-
-TEST_F(InPlaceProjectTest, RowKernelAtBudgetBoundary) {
-  Check(&RowProject, nullptr, kRows, Probes::kRowsThroughStop, "row");
-}
-
+// The inline route's partition: the whole input is one morsel.
 TEST_F(InPlaceProjectTest, ColumnarSingleMorselAtBudgetBoundary) {
-  MorselExec mx;
-  mx.morsel_rows = 1 << 16;
-  ASSERT_EQ(mx.NumMorsels(kRows), 1);
-  Check(&ColumnarProject, &mx, kRows, Probes::kRowsThroughStop,
+  ASSERT_EQ(WholeInputMorsel().NumMorsels(kRows), 1);
+  Check(WholeInputMorsel(), kRows, Probes::kRowsThroughStop,
         "columnar single-morsel");
 }
 
@@ -641,7 +624,7 @@ TEST_F(InPlaceProjectTest, ColumnarMultiMorselAtBudgetBoundary) {
   MorselExec mx;
   mx.morsel_rows = kMorselRows;
   ASSERT_GT(mx.NumMorsels(kRows), 1);
-  Check(&ColumnarProject, &mx, sum_morsel_distinct_, Probes::kAllRows,
+  Check(mx, sum_morsel_distinct_, Probes::kAllRows,
         "columnar multi-morsel");
 }
 

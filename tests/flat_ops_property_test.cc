@@ -1,7 +1,8 @@
 // Property tests for the flat-hash operator kernels: on randomized
 // relations (including empty, nullary, and repeated-attribute inputs) the
 // hash-based operators, naive row-at-a-time references, and the
-// sort-merge join must all agree up to set equality.
+// sort-merge join must all agree up to set equality, and every morsel
+// partition must reproduce the whole-input run exactly.
 
 #include <gtest/gtest.h>
 
@@ -214,32 +215,32 @@ TEST(FlatOpsPropertyTest, BindAtomAgreesWithReference) {
   }
 }
 
-// Exact (row-order, not just set) equality: the columnar kernels promise
-// byte-identical output to the row kernels.
-void ExpectSameRows(const Relation& row, const Relation& columnar,
+// Exact (row-order, not just set) equality: the kernels promise the same
+// output under every morsel partition.
+void ExpectSameRows(const Relation& whole, const Relation& morsels,
                     int trial) {
-  ASSERT_EQ(row.arity(), columnar.arity()) << "trial " << trial;
-  ASSERT_EQ(row.size(), columnar.size()) << "trial " << trial;
-  for (int64_t i = 0; i < row.size(); ++i) {
-    for (int c = 0; c < row.arity(); ++c) {
-      ASSERT_EQ(row.at(i, c), columnar.at(i, c))
+  ASSERT_EQ(whole.arity(), morsels.arity()) << "trial " << trial;
+  ASSERT_EQ(whole.size(), morsels.size()) << "trial " << trial;
+  for (int64_t i = 0; i < whole.size(); ++i) {
+    for (int c = 0; c < whole.arity(); ++c) {
+      ASSERT_EQ(whole.at(i, c), morsels.at(i, c))
           << "trial " << trial << " row " << i << " col " << c;
     }
   }
 }
 
-// Every ExecStats field except peak_bytes must match the row kernel's:
-// the columnar path accounts scratch differently by design (shared build
-// plus per-morsel batches), but the work counters are the oracle.
-void ExpectSameStatsExceptPeak(const ExecStats& row, const ExecStats& col,
+// Every ExecStats field except peak_bytes must match the whole-input
+// run's: scratch composes per partition by design (shared build plus
+// per-morsel batches), but the work counters are the oracle.
+void ExpectSameStatsExceptPeak(const ExecStats& whole, const ExecStats& part,
                                int trial) {
-  EXPECT_EQ(row.tuples_produced, col.tuples_produced) << "trial " << trial;
-  EXPECT_EQ(row.num_joins, col.num_joins) << "trial " << trial;
-  EXPECT_EQ(row.num_projections, col.num_projections) << "trial " << trial;
-  EXPECT_EQ(row.num_semijoins, col.num_semijoins) << "trial " << trial;
-  EXPECT_EQ(row.max_intermediate_arity, col.max_intermediate_arity)
+  EXPECT_EQ(whole.tuples_produced, part.tuples_produced) << "trial " << trial;
+  EXPECT_EQ(whole.num_joins, part.num_joins) << "trial " << trial;
+  EXPECT_EQ(whole.num_projections, part.num_projections) << "trial " << trial;
+  EXPECT_EQ(whole.num_semijoins, part.num_semijoins) << "trial " << trial;
+  EXPECT_EQ(whole.max_intermediate_arity, part.max_intermediate_arity)
       << "trial " << trial;
-  EXPECT_EQ(row.max_intermediate_rows, col.max_intermediate_rows)
+  EXPECT_EQ(whole.max_intermediate_rows, part.max_intermediate_rows)
       << "trial " << trial;
 }
 
@@ -251,8 +252,8 @@ MorselExec Morsels(int64_t rows) {
   return mx;
 }
 
-// The columnar spec kernels with their specs derived from the input
-// schemas, for the one-shot edge cases below.
+// The kernels with their specs derived from the input schemas, under one
+// partition.
 struct SpecKernels {
   ExecContext& ctx;
   const MorselExec& mx;
@@ -276,26 +277,29 @@ struct SpecKernels {
   }
 };
 
-TEST(FlatOpsPropertyTest, ColumnarJoinIsRowJoinExactly) {
+// 1-, 3- and 1024-row morsels: one row each, a ragged last morsel, and
+// one morsel that is not the whole-input partition.
+constexpr int64_t kMorselSizes[] = {1, 3, 1024};
+
+TEST(FlatOpsPropertyTest, JoinMorselsMatchWholeInputExactly) {
   Rng rng(505);
   for (int trial = 0; trial < 200; ++trial) {
     const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
     const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
-    ExecContext row_ctx;
-    const Relation row_out = NaturalJoin(left, right, row_ctx);
-    for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      ExecContext col_ctx;
-      const Relation col_out =
-          HashJoinColumnar(left, right,
-                           PlanJoin(left.schema(), right.schema()), col_ctx,
-                           Morsels(morsel));
-      ExpectSameRows(row_out, col_out, trial);
-      ExpectSameStatsExceptPeak(row_ctx.stats(), col_ctx.stats(), trial);
+    ExecContext whole_ctx;
+    const Relation whole =
+        SpecKernels{whole_ctx, WholeInputMorsel()}.Join(left, right);
+    ASSERT_TRUE(whole.SetEquals(RefJoin(left, right))) << "trial " << trial;
+    for (const int64_t morsel : kMorselSizes) {
+      ExecContext ctx;
+      const Relation out = SpecKernels{ctx, Morsels(morsel)}.Join(left, right);
+      ExpectSameRows(whole, out, trial);
+      ExpectSameStatsExceptPeak(whole_ctx.stats(), ctx.stats(), trial);
     }
   }
 }
 
-TEST(FlatOpsPropertyTest, ColumnarProjectIsRowProjectExactly) {
+TEST(FlatOpsPropertyTest, ProjectMorselsMatchWholeInputExactly) {
   Rng rng(606);
   for (int trial = 0; trial < 200; ++trial) {
     const Relation input = RandomRelation(RandomSchema(rng, 4), rng);
@@ -303,41 +307,43 @@ TEST(FlatOpsPropertyTest, ColumnarProjectIsRowProjectExactly) {
     for (AttrId a : input.schema().attrs()) {
       if (rng.NextBounded(2) == 0) keep.push_back(a);
     }
-    ExecContext row_ctx;
-    const Relation row_out = Project(input, keep, row_ctx);
-    for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      ExecContext col_ctx;
-      const Relation col_out =
-          ProjectColumnsColumnar(input, PlanProject(input.schema(), keep),
-                                 col_ctx, Morsels(morsel));
+    ExecContext whole_ctx;
+    const Relation whole =
+        SpecKernels{whole_ctx, WholeInputMorsel()}.Project(input, keep);
+    ASSERT_TRUE(whole.SetEquals(RefProject(input, keep))) << "trial " << trial;
+    for (const int64_t morsel : kMorselSizes) {
+      ExecContext ctx;
+      const Relation out =
+          SpecKernels{ctx, Morsels(morsel)}.Project(input, keep);
       // Distinct-order preservation across morsel merges is part of the
       // contract, so the comparison is exact, not SetEquals.
-      ExpectSameRows(row_out, col_out, trial);
-      ExpectSameStatsExceptPeak(row_ctx.stats(), col_ctx.stats(), trial);
+      ExpectSameRows(whole, out, trial);
+      ExpectSameStatsExceptPeak(whole_ctx.stats(), ctx.stats(), trial);
     }
   }
 }
 
-TEST(FlatOpsPropertyTest, ColumnarSemiJoinIsRowSemiJoinExactly) {
+TEST(FlatOpsPropertyTest, SemiJoinMorselsMatchWholeInputExactly) {
   Rng rng(707);
   for (int trial = 0; trial < 200; ++trial) {
     const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
     const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
-    ExecContext row_ctx;
-    const Relation row_out = SemiJoin(left, right, row_ctx);
-    for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      ExecContext col_ctx;
-      const Relation col_out =
-          SemiJoinFilteredColumnar(left, right,
-                                   PlanSemiJoin(left.schema(), right.schema()),
-                                   col_ctx, Morsels(morsel));
-      ExpectSameRows(row_out, col_out, trial);
-      ExpectSameStatsExceptPeak(row_ctx.stats(), col_ctx.stats(), trial);
+    ExecContext whole_ctx;
+    const Relation whole =
+        SpecKernels{whole_ctx, WholeInputMorsel()}.SemiJoin(left, right);
+    ASSERT_TRUE(whole.SetEquals(RefSemiJoin(left, right)))
+        << "trial " << trial;
+    for (const int64_t morsel : kMorselSizes) {
+      ExecContext ctx;
+      const Relation out =
+          SpecKernels{ctx, Morsels(morsel)}.SemiJoin(left, right);
+      ExpectSameRows(whole, out, trial);
+      ExpectSameStatsExceptPeak(whole_ctx.stats(), ctx.stats(), trial);
     }
   }
 }
 
-TEST(FlatOpsPropertyTest, ColumnarBindAtomIsRowBindAtomExactly) {
+TEST(FlatOpsPropertyTest, BindAtomMorselsMatchWholeInputExactly) {
   Rng rng(808);
   for (int trial = 0; trial < 200; ++trial) {
     const Relation stored = RandomRelation(RandomSchema(rng, 3), rng);
@@ -347,15 +353,16 @@ TEST(FlatOpsPropertyTest, ColumnarBindAtomIsRowBindAtomExactly) {
     for (int c = 0; c < stored.arity(); ++c) {
       args.push_back(static_cast<AttrId>(20 + rng.NextBounded(3)));
     }
-    ExecContext row_ctx;
-    const Relation row_out = BindAtom(stored, args, row_ctx);
-    for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      ExecContext col_ctx;
-      const Relation col_out =
-          ScanAtomColumnar(stored, PlanScan(stored.arity(), args), col_ctx,
-                           Morsels(morsel));
-      ExpectSameRows(row_out, col_out, trial);
-      ExpectSameStatsExceptPeak(row_ctx.stats(), col_ctx.stats(), trial);
+    ExecContext whole_ctx;
+    const Relation whole =
+        SpecKernels{whole_ctx, WholeInputMorsel()}.Bind(stored, args);
+    ASSERT_TRUE(whole.SetEquals(RefBindAtom(stored, args)))
+        << "trial " << trial;
+    for (const int64_t morsel : kMorselSizes) {
+      ExecContext ctx;
+      const Relation out = SpecKernels{ctx, Morsels(morsel)}.Bind(stored, args);
+      ExpectSameRows(whole, out, trial);
+      ExpectSameStatsExceptPeak(whole_ctx.stats(), ctx.stats(), trial);
     }
   }
 }
@@ -400,7 +407,7 @@ TEST(FlatOpsPropertyTest, ColumnarEmptyAndSingleRowEdges) {
   }
 }
 
-TEST(FlatOpsPropertyTest, ColumnarNullarySchemasDelegate) {
+TEST(FlatOpsPropertyTest, NullarySchemas) {
   const Schema nullary{std::vector<AttrId>{}};
   Relation empty_n{nullary};
   Relation full_n{nullary};
@@ -409,20 +416,26 @@ TEST(FlatOpsPropertyTest, ColumnarNullarySchemasDelegate) {
   unary.AddTuple({7});
   unary.AddTuple({9});
 
-  const MorselExec mx = Morsels(1);
-  ExecContext ctx;
-  const SpecKernels k{ctx, mx};
-  EXPECT_TRUE(k.Join(full_n, full_n).SetEquals(full_n));
-  EXPECT_TRUE(k.Join(full_n, empty_n).SetEquals(empty_n));
-  EXPECT_TRUE(k.Join(unary, full_n).SetEquals(unary));
-  EXPECT_TRUE(k.Join(full_n, unary).SetEquals(unary));
-  EXPECT_TRUE(k.Join(unary, empty_n).empty());
-  // Boolean projection: nonempty input yields the single empty tuple.
-  const Relation truth = k.Project(unary, {});
-  EXPECT_TRUE(truth.SetEquals(full_n));
-  EXPECT_TRUE(k.Project(Relation{Schema({3})}, {}).empty());
-  EXPECT_TRUE(k.SemiJoin(unary, full_n).SetEquals(unary));
-  EXPECT_TRUE(k.SemiJoin(unary, empty_n).empty());
+  const MorselExec one_row = Morsels(1);
+  for (const MorselExec* mx : {&one_row, &WholeInputMorsel()}) {
+    ExecContext ctx;
+    const SpecKernels k{ctx, *mx};
+    EXPECT_TRUE(k.Join(full_n, full_n).SetEquals(full_n));
+    EXPECT_TRUE(k.Join(full_n, empty_n).SetEquals(empty_n));
+    EXPECT_TRUE(k.Join(unary, full_n).SetEquals(unary));
+    EXPECT_TRUE(k.Join(full_n, unary).SetEquals(unary));
+    EXPECT_TRUE(k.Join(unary, empty_n).empty());
+    // Boolean projection: nonempty input yields the single empty tuple.
+    const Relation truth = k.Project(unary, {});
+    EXPECT_TRUE(truth.SetEquals(full_n));
+    EXPECT_TRUE(k.Project(Relation{Schema({3})}, {}).empty());
+    EXPECT_TRUE(k.SemiJoin(unary, full_n).SetEquals(unary));
+    EXPECT_TRUE(k.SemiJoin(unary, empty_n).empty());
+    EXPECT_TRUE(k.SemiJoin(full_n, unary).SetEquals(full_n));
+    EXPECT_TRUE(k.SemiJoin(full_n, empty_n).empty());
+    EXPECT_TRUE(k.Bind(full_n, {}).SetEquals(full_n));
+    EXPECT_TRUE(k.Bind(empty_n, {}).empty());
+  }
 }
 
 TEST(FlatOpsPropertyTest, ColumnBatchSelectionAllFalse) {

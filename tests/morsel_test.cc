@@ -1,7 +1,8 @@
-// Tests for morsel-driven columnar execution: the MorselDriver's results
-// and merged statistics must be byte-identical to the row path and across
-// worker counts and morsel sizes, including under budget truncation; the
-// per-operator morsel accounting must verify against the static analyzer.
+// Tests for morsel-driven execution: the MorselDriver's results and merged
+// statistics must be byte-identical to the inline path (one whole-input
+// morsel per operator) and across worker counts and morsel sizes,
+// including under budget truncation; the per-operator morsel accounting
+// must verify against the static analyzer.
 
 #include <gtest/gtest.h>
 
@@ -94,7 +95,27 @@ TEST(MorselEnvTest, MorselSizeEnvOverrideIsCaptured) {
   EXPECT_EQ(sized.morsel_rows(), 2);
 }
 
-TEST(MorselDriverTest, MatchesRowExecutionOnPentagon) {
+// The inline route's partition is a constant: with PPR_MORSEL_SIZE at 5,
+// every operator of a plain Execute() still runs as one morsel.
+TEST(MorselEnvTest, InlineRouteIgnoresMorselSizeEnv) {
+  EXPECT_EQ(WholeInputMorsel().NumMorsels(1000), 1);
+  EXPECT_EQ(WholeInputMorsel().NumMorsels(int64_t{1} << 61), 1);
+  Database db = ThreeColorDb();
+  Compiled c = CompilePentagon(db);
+  MorselAccounting accounting;
+  const ExecutionResult r = c.physical.ExecuteShared(
+      nullptr, kCounterMax, nullptr, nullptr, &accounting);
+  ASSERT_TRUE(r.status.ok());
+  ASSERT_FALSE(accounting.ops.empty());
+  bool saw_more_than_env_morsel = false;
+  for (const MorselOpAccount& op : accounting.ops) {
+    EXPECT_LE(op.morsel_rows.size(), 1u) << "node " << op.node_id;
+    saw_more_than_env_morsel |= op.output_rows > ProcessEnv().morsel_rows;
+  }
+  EXPECT_TRUE(saw_more_than_env_morsel);
+}
+
+TEST(MorselDriverTest, MatchesInlineExecutionOnPentagon) {
   Database db = ThreeColorDb();
   Compiled c = CompilePentagon(db);
   const ExecutionResult row = c.physical.Execute();
@@ -105,8 +126,8 @@ TEST(MorselDriverTest, MatchesRowExecutionOnPentagon) {
     const ExecutionResult col = driver.Run(c.physical);
     ASSERT_TRUE(col.status.ok()) << "threads " << threads;
     ExpectSameRows(row.output, col.output);
-    // Everything except peak_bytes matches the row path (columnar runs
-    // account shared builds + per-morsel batches differently by design).
+    // Everything except peak_bytes matches the inline path (multi-morsel
+    // runs account shared builds + per-morsel batches differently).
     EXPECT_EQ(row.stats.tuples_produced, col.stats.tuples_produced);
     EXPECT_EQ(row.stats.num_joins, col.stats.num_joins);
     EXPECT_EQ(row.stats.num_projections, col.stats.num_projections);
@@ -181,7 +202,7 @@ TEST(MorselDriverTest, TraceMergeIsDeterministicAcrossWorkerCounts) {
   EXPECT_GT(max_morsel_id, 0);
 }
 
-TEST(MorselDriverTest, BudgetTruncationMatchesRowPath) {
+TEST(MorselDriverTest, BudgetTruncationMatchesInlinePath) {
   Database db = ThreeColorDb();
   Compiled c = CompilePentagon(db);
   const ExecutionResult full = c.physical.Execute();

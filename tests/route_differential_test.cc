@@ -4,8 +4,8 @@
 // the independent colorability / satisfiability solvers.
 //
 // Routes, per (query, strategy, join algorithm):
-//   1. PhysicalPlan::ExecuteShared (row kernels)
-//   2. ExecuteShared with an inline MorselExec (columnar kernels)
+//   1. PhysicalPlan::ExecuteShared (one whole-input morsel per operator)
+//   2. ExecuteShared with an inline MorselExec (env-default morsel size)
 //   3. MorselDriver at 4 workers with 7-row morsels (operators split)
 //   4. BatchExecutor (plan cache on, canonicalized jobs)
 //   5. in-process QueryService::Execute (hash joins only, as served)
