@@ -234,7 +234,7 @@ void BM_BatchExecuteTelemetryOn(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchExecuteTelemetryOn)->Range(1 << 8, 1 << 13);
 
-// Multi-morsel HashJoinColumnar on 4 pool workers, the shape of
+// Multi-morsel HashJoin on 4 pool workers, the shape of
 // morsel_wide's big joins: 512K probe rows in 8 morsels of 64K, ~8M
 // output rows (~96 MB). Sizing the output, faulting its pages in and
 // freeing it are part of each iteration, as they are in a plan walk.
@@ -261,7 +261,7 @@ void BM_HashJoinColumnarMorsels(benchmark::State& state) {
   int64_t out_bytes = 0;
   for (auto _ : state) {
     ExecContext ctx;
-    Relation out = HashJoinColumnar(left, right, spec, ctx, mx);
+    Relation out = HashJoin(left, right, spec, ctx, mx);
     produced += out.size();
     out_bytes = out.byte_size();
     benchmark::DoNotOptimize(out);
@@ -325,8 +325,7 @@ void BM_ProjectWide(benchmark::State& state) {
   ExecArena arena;
   for (auto _ : state) {
     ExecContext ctx(kCounterMax, &arena);
-    Relation out =
-        ProjectColumnsColumnar(input, spec, ctx, WholeInputMorsel());
+    Relation out = ProjectColumns(input, spec, ctx, WholeInputMorsel());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * input.size());
@@ -370,7 +369,7 @@ void BM_JoinWide(benchmark::State& state) {
   int64_t produced = 0;
   for (auto _ : state) {
     ExecContext ctx(kCounterMax, &arena);
-    Relation out = HashJoinColumnar(left, right, spec, ctx, WholeInputMorsel());
+    Relation out = HashJoin(left, right, spec, ctx, WholeInputMorsel());
     produced += out.size();
     benchmark::DoNotOptimize(out.data());
   }

@@ -78,7 +78,7 @@ class PlanWalk {
     Relation acc;
     if (node.IsLeaf()) {
       ctx_.set_trace_node(node.node_id);
-      acc = ScanAtomColumnar(*node.stored, node.scan, ctx_, mx_, MorselRows());
+      acc = ScanAtom(*node.stored, node.scan, ctx_, mx_, MorselRows());
       Account(node.node_id, MorselOp::kScan, acc);
     } else {
       acc = Run(*node.children.front());
@@ -91,15 +91,14 @@ class PlanWalk {
         if (join_algorithm_ == JoinAlgorithm::kSortMerge) {
           acc = SortMergeJoin(acc, next, ctx_);
         } else {
-          acc = HashJoinColumnar(acc, next, node.joins[i - 1], ctx_, mx_,
-                                 MorselRows());
+          acc = HashJoin(acc, next, node.joins[i - 1], ctx_, mx_, MorselRows());
         }
         Account(node.node_id, MorselOp::kJoin, acc);
       }
     }
     if (node.has_project && !ctx_.exhausted()) {
       ctx_.set_trace_node(node.node_id);
-      acc = ProjectColumnsColumnar(acc, node.project, ctx_, mx_, MorselRows());
+      acc = ProjectColumns(acc, node.project, ctx_, mx_, MorselRows());
       Account(node.node_id, MorselOp::kProject, acc);
     }
     return acc;

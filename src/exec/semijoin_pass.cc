@@ -58,8 +58,8 @@ SemijoinPassResult SemijoinReduce(const ConjunctiveQuery& query,
       Relation& target = relations[static_cast<size_t>(r.target)];
       const Relation& filter = relations[static_cast<size_t>(r.filter)];
       const int64_t before = target.size();
-      target = SemiJoinFilteredColumnar(target, filter, r.spec, ctx,
-                                        WholeInputMorsel());
+      target = SemiJoinFiltered(target, filter, r.spec, ctx,
+                                WholeInputMorsel());
       removed_this_round += before - target.size();
     }
     out.tuples_removed += removed_this_round;

@@ -232,9 +232,9 @@ struct CheckedGather {
 
 }  // namespace
 
-Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
-                          ExecContext& ctx, const MorselExec& mx,
-                          std::vector<int64_t>* morsel_rows_out) {
+Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
+                  ExecContext& ctx, const MorselExec& mx,
+                  std::vector<int64_t>* morsel_rows_out) {
   if (morsel_rows_out != nullptr) morsel_rows_out->clear();
   Relation out{spec.out_schema};
   const int in_arity = stored.arity();
@@ -383,10 +383,9 @@ Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
   return out;
 }
 
-Relation HashJoinColumnar(const Relation& left, const Relation& right,
-                          const JoinSpec& spec, ExecContext& ctx,
-                          const MorselExec& mx,
-                          std::vector<int64_t>* morsel_rows_out) {
+Relation HashJoin(const Relation& left, const Relation& right,
+                  const JoinSpec& spec, ExecContext& ctx, const MorselExec& mx,
+                  std::vector<int64_t>* morsel_rows_out) {
   if (morsel_rows_out != nullptr) morsel_rows_out->clear();
   ctx.stats().num_joins++;
   Relation out{spec.out_schema};
@@ -520,9 +519,9 @@ Relation HashJoinColumnar(const Relation& left, const Relation& right,
   return out;
 }
 
-Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
-                                ExecContext& ctx, const MorselExec& mx,
-                                std::vector<int64_t>* morsel_rows_out) {
+Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
+                        ExecContext& ctx, const MorselExec& mx,
+                        std::vector<int64_t>* morsel_rows_out) {
   if (morsel_rows_out != nullptr) morsel_rows_out->clear();
   ctx.stats().num_projections++;
   Relation out{spec.out_schema};
@@ -693,10 +692,10 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
   return out;
 }
 
-Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
-                                  const SemiJoinSpec& spec, ExecContext& ctx,
-                                  const MorselExec& mx,
-                                  std::vector<int64_t>* morsel_rows_out) {
+Relation SemiJoinFiltered(const Relation& left, const Relation& right,
+                          const SemiJoinSpec& spec, ExecContext& ctx,
+                          const MorselExec& mx,
+                          std::vector<int64_t>* morsel_rows_out) {
   if (morsel_rows_out != nullptr) morsel_rows_out->clear();
   ctx.stats().num_semijoins++;
   Relation out{left.schema()};
@@ -730,65 +729,25 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
 
   const Value* left_base = left.data();
 
-  // Without shared attributes the keys are nullary: right's one empty key
-  // is found for every left row.
-  //
-  // Single-morsel path: one probe pass records the survivors in one
-  // selection vector, which is copied out row by row — no per-morsel
-  // arenas or offsets. A nullary left (at most the empty tuple) copies no
-  // values through its null cursor.
-  if (num_morsels == 1) {
-    int32_t* sel = ctx.arena().AllocSpan<int32_t>(left_rows).data();
-    int64_t kept = 0;
-    keys.FindRows(left_cols, left_arity, 0, left_rows,
-                  [&](int64_t row, int64_t id) {
-                    if (id >= 0) sel[kept++] = static_cast<int32_t>(row);
-                    return true;
-                  });
-    const int64_t limit = ctx.ClampToHeadroom(kept);
-    Value* cursor = GrowOutput(out, limit);
-    for (int64_t j = 0; j < limit; ++j) {
-      const Value* row = left_base + int64_t{sel[j]} * left_arity;
-      for (int c = 0; c < left_arity; ++c) cursor[c] = row[c];
-      cursor += left_arity;
-    }
-    if (limit > 0) ctx.ChargeTuples(limit);
-    if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, limit);
-    const Counter footprint =
-        static_cast<Counter>(shared_scope.bytes_allocated()) +
-        out.byte_size();
-    if (rec.enabled()) {
-      rec.span().rows_out = out.size();
-      rec.span().bytes = footprint;
-      rec.span().ht_build_rows = right.size();
-      rec.span().ht_probe_ops = no_common ? 0 : left_rows;
-    }
-    ctx.stats().NotePeakBytes(footprint);
-    ctx.stats().NoteIntermediate(out.arity(), out.size());
-    return out;
-  }
-
-  // Phase A: probe per morsel, recording survivors in a per-morsel
-  // selection vector (persisted in a per-morsel arena so phase B, which
-  // may run on a different worker, can scatter them).
-  std::vector<ExecArena> sel_arenas(static_cast<size_t>(num_morsels));
-  std::vector<const int32_t*> sels(static_cast<size_t>(num_morsels), nullptr);
+  // Phase A: probe per morsel, recording the survivors of morsel m as
+  // offsets from its first row in its own range of one shared selection
+  // vector (allocated here, on the calling thread, so phase B — possibly
+  // on another worker — can scatter them). Without shared attributes the
+  // keys are nullary: right's one empty key is found for every left row.
+  int32_t* sel = ctx.arena().AllocSpan<int32_t>(left_rows).data();
   std::vector<int64_t> counts(static_cast<size_t>(num_morsels), 0);
   mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
     const auto [begin, end] = RangeOf(m, morsel_rows, left_rows);
-    int32_t* sel = sel_arenas[static_cast<size_t>(m)]
-                       .AllocSpan<int32_t>(end - begin)
-                       .data();
+    int32_t* msel = sel + begin;
     int64_t kept = 0;
     keys.FindRows(left_cols, left_arity, begin, end,
                   [&](int64_t row, int64_t id) {
                     if (id >= 0) {
-                      sel[kept++] = static_cast<int32_t>(row - begin);
+                      msel[kept++] = static_cast<int32_t>(row - begin);
                     }
                     return true;
                   });
     counts[static_cast<size_t>(m)] = kept;
-    sels[static_cast<size_t>(m)] = sel;
   });
 
   std::vector<int64_t> offsets(static_cast<size_t>(num_morsels) + 1, 0);
@@ -799,8 +758,11 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
   const int64_t total = offsets[static_cast<size_t>(num_morsels)];
   const int64_t limit = ctx.ClampToHeadroom(total);
 
-  Value* out_base = out.GrowRows(limit);
-  MorselTraceShards shards(ctx.tracer(), num_morsels);
+  // A nullary left (at most the empty tuple) copies no values through its
+  // null cursor.
+  Value* out_base = GrowOutput(out, limit);
+  MorselTraceShards shards(num_morsels > 1 ? ctx.tracer() : nullptr,
+                           num_morsels);
 
   // Phase B: scatter the surviving left rows into the disjoint ranges.
   mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
@@ -817,13 +779,13 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
       mrec.span().morsel_id = static_cast<int32_t>(m);
       mrec.span().batches = 1;
       mrec.span().ht_probe_ops = no_common ? 0 : end - begin;
-      mrec.span().bytes = static_cast<int64_t>(
-          sel_arenas[static_cast<size_t>(m)].bytes_in_use());
+      mrec.span().bytes =
+          static_cast<int64_t>(sizeof(int32_t)) * (end - begin);
     }
     Value* cursor = out_base + off * left_arity;
-    const int32_t* sel = sels[static_cast<size_t>(m)];
+    const int32_t* msel = sel + begin;
     for (int64_t j = 0; j < quota; ++j) {
-      const Value* row = left_base + (begin + sel[j]) * left_arity;
+      const Value* row = left_base + (begin + msel[j]) * left_arity;
       for (int c = 0; c < left_arity; ++c) cursor[c] = row[c];
       cursor += left_arity;
     }
@@ -834,10 +796,13 @@ Relation SemiJoinFilteredColumnar(const Relation& left, const Relation& right,
   shards.MergeInOrder();
   FillAccounts(morsel_rows_out, offsets, limit);
 
-  Counter footprint =
+  const Counter footprint =
       static_cast<Counter>(shared_scope.bytes_allocated()) + out.byte_size();
-  for (const ExecArena& sel_arena : sel_arenas) {
-    footprint += static_cast<Counter>(sel_arena.bytes_in_use());
+  if (rec.enabled()) {
+    rec.span().rows_out = out.size();
+    rec.span().bytes = footprint;
+    rec.span().ht_build_rows = right.size();
+    rec.span().ht_probe_ops = no_common ? 0 : left_rows;
   }
   ctx.stats().NotePeakBytes(footprint);
   ctx.stats().NoteIntermediate(out.arity(), out.size());

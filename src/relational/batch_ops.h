@@ -99,36 +99,35 @@ const MorselExec& WholeInputMorsel();
 /// output slices. When `morsel_rows_out` is non-null it receives the
 /// per-morsel emitted row counts in morsel order (the accounting the
 /// physical verifier checks: their sum equals the output size).
-Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
-                          ExecContext& ctx, const MorselExec& mx,
-                          std::vector<int64_t>* morsel_rows_out = nullptr);
+Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
+                  ExecContext& ctx, const MorselExec& mx,
+                  std::vector<int64_t>* morsel_rows_out = nullptr);
 
 /// Hash-join kernel: a shared index on the smaller input, constructed
 /// once on the calling thread, and the larger input probed in morsels
 /// (two-phase: a counting probe that keeps each probe row's group id,
 /// then materialization from the kept ids into exact disjoint ranges).
 /// Output rows come in probe-row order, then build-row order.
-Relation HashJoinColumnar(const Relation& left, const Relation& right,
-                          const JoinSpec& spec, ExecContext& ctx,
-                          const MorselExec& mx,
-                          std::vector<int64_t>* morsel_rows_out = nullptr);
+Relation HashJoin(const Relation& left, const Relation& right,
+                  const JoinSpec& spec, ExecContext& ctx, const MorselExec& mx,
+                  std::vector<int64_t>* morsel_rows_out = nullptr);
 
 /// Projection kernel (DISTINCT): morsel-local dedup into per-morsel
 /// FlatKeyIndexes, then a sequential merge in morsel-index order — which
 /// reproduces the one-morsel first-occurrence order exactly. An empty
 /// column list yields a nullary relation that is nonempty iff the input
 /// is (Boolean queries).
-Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
-                                ExecContext& ctx, const MorselExec& mx,
-                                std::vector<int64_t>* morsel_rows_out = nullptr);
+Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
+                        ExecContext& ctx, const MorselExec& mx,
+                        std::vector<int64_t>* morsel_rows_out = nullptr);
 
 /// Semijoin kernel: left tuples with at least one match in right. A
 /// shared key filter is built from the right side, and the left side is
 /// probed per morsel with survivors recorded in selection vectors.
-Relation SemiJoinFilteredColumnar(
-    const Relation& left, const Relation& right, const SemiJoinSpec& spec,
-    ExecContext& ctx, const MorselExec& mx,
-    std::vector<int64_t>* morsel_rows_out = nullptr);
+Relation SemiJoinFiltered(const Relation& left, const Relation& right,
+                          const SemiJoinSpec& spec, ExecContext& ctx,
+                          const MorselExec& mx,
+                          std::vector<int64_t>* morsel_rows_out = nullptr);
 
 }  // namespace ppr
 

@@ -110,27 +110,27 @@ ScanSpec PlanScan(int stored_arity, const std::vector<AttrId>& args) {
 
 Relation NaturalJoin(const Relation& left, const Relation& right,
                      ExecContext& ctx) {
-  return HashJoinColumnar(left, right, PlanJoin(left.schema(), right.schema()),
-                          ctx, WholeInputMorsel());
+  return HashJoin(left, right, PlanJoin(left.schema(), right.schema()), ctx,
+                  WholeInputMorsel());
 }
 
 Relation Project(const Relation& input, const std::vector<AttrId>& attrs,
                  ExecContext& ctx) {
-  return ProjectColumnsColumnar(input, PlanProject(input.schema(), attrs), ctx,
-                                WholeInputMorsel());
+  return ProjectColumns(input, PlanProject(input.schema(), attrs), ctx,
+                        WholeInputMorsel());
 }
 
 Relation SemiJoin(const Relation& left, const Relation& right,
                   ExecContext& ctx) {
-  return SemiJoinFilteredColumnar(left, right,
-                                  PlanSemiJoin(left.schema(), right.schema()),
-                                  ctx, WholeInputMorsel());
+  return SemiJoinFiltered(left, right,
+                          PlanSemiJoin(left.schema(), right.schema()), ctx,
+                          WholeInputMorsel());
 }
 
 Relation BindAtom(const Relation& stored, const std::vector<AttrId>& args,
                   ExecContext& ctx) {
-  return ScanAtomColumnar(stored, PlanScan(stored.arity(), args), ctx,
-                          WholeInputMorsel());
+  return ScanAtom(stored, PlanScan(stored.arity(), args), ctx,
+                  WholeInputMorsel());
 }
 
 }  // namespace ppr

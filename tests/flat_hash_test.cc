@@ -573,7 +573,7 @@ class InPlaceProjectTest : public ::testing::Test {
       ctx.set_tracer(&sink);
       std::vector<int64_t> accounts;
       const Relation out =
-          ProjectColumnsColumnar(input_, spec_, ctx, mx, &accounts);
+          ProjectColumns(input_, spec_, ctx, mx, &accounts);
       int64_t accounted = 0;
       for (int64_t a : accounts) accounted += a;
       EXPECT_EQ(accounted, out.size());
@@ -614,13 +614,13 @@ class InPlaceProjectTest : public ::testing::Test {
 };
 
 // The inline route's partition: the whole input is one morsel.
-TEST_F(InPlaceProjectTest, ColumnarSingleMorselAtBudgetBoundary) {
+TEST_F(InPlaceProjectTest, SingleMorselAtBudgetBoundary) {
   ASSERT_EQ(WholeInputMorsel().NumMorsels(kRows), 1);
   Check(WholeInputMorsel(), kRows, Probes::kRowsThroughStop,
         "columnar single-morsel");
 }
 
-TEST_F(InPlaceProjectTest, ColumnarMultiMorselAtBudgetBoundary) {
+TEST_F(InPlaceProjectTest, MultiMorselAtBudgetBoundary) {
   MorselExec mx;
   mx.morsel_rows = kMorselRows;
   ASSERT_GT(mx.NumMorsels(kRows), 1);

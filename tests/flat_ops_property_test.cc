@@ -259,21 +259,21 @@ struct SpecKernels {
   const MorselExec& mx;
 
   Relation Join(const Relation& left, const Relation& right) const {
-    return HashJoinColumnar(left, right,
-                            PlanJoin(left.schema(), right.schema()), ctx, mx);
+    return HashJoin(left, right, PlanJoin(left.schema(), right.schema()), ctx,
+                    mx);
   }
   Relation Project(const Relation& input,
                    const std::vector<AttrId>& attrs) const {
-    return ProjectColumnsColumnar(input, PlanProject(input.schema(), attrs),
-                                  ctx, mx);
+    return ProjectColumns(input, PlanProject(input.schema(), attrs), ctx, mx);
   }
   Relation SemiJoin(const Relation& left, const Relation& right) const {
-    return SemiJoinFilteredColumnar(
-        left, right, PlanSemiJoin(left.schema(), right.schema()), ctx, mx);
+    return SemiJoinFiltered(left, right,
+                            PlanSemiJoin(left.schema(), right.schema()), ctx,
+                            mx);
   }
   Relation Bind(const Relation& stored,
                 const std::vector<AttrId>& args) const {
-    return ScanAtomColumnar(stored, PlanScan(stored.arity(), args), ctx, mx);
+    return ScanAtom(stored, PlanScan(stored.arity(), args), ctx, mx);
   }
 };
 
@@ -367,7 +367,7 @@ TEST(FlatOpsPropertyTest, BindAtomMorselsMatchWholeInputExactly) {
   }
 }
 
-TEST(FlatOpsPropertyTest, ColumnarEmptyAndSingleRowEdges) {
+TEST(FlatOpsPropertyTest, EmptyAndSingleRowEdges) {
   const Schema ab{std::vector<AttrId>{0, 1}};
   const Schema bc{std::vector<AttrId>{1, 2}};
   Relation empty_ab{ab};
